@@ -52,6 +52,13 @@ struct FlowResult {
 FlowResult run_pin3d_flow(const Netlist& design, const FlowConfig& cfg,
                           const PlacementOptimizer& optimizer = nullptr);
 
+/// Flow-level metric collection: STA on the current state, with the net
+/// detours and the overflow of an already computed route.
+StageMetrics measure_stage(const Netlist& netlist, const Placement3D& placement,
+                           const RouteResult& route,
+                           const TimingConfig& timing_cfg,
+                           const std::vector<double>* skew = nullptr);
+
 /// Flow-level metric collection: route + STA on the current state.
 StageMetrics measure_stage(const Netlist& netlist, const Placement3D& placement,
                            const GCellGrid& grid, const TimingConfig& timing_cfg,

@@ -235,12 +235,16 @@ std::vector<Stage> make_pin3d_stages() {
   });
 
   s.emplace_back("final-metrics", [](FlowContext& c) {
-    // Final view: re-route (sizing changed loads negligibly for the router,
-    // but detours and overflow stand) and re-time with the final skew.
+    // Final view: the route stage's result stands (signoff only resizes
+    // cells, which moves no pin and no macro, so routing again would
+    // reproduce it); re-time with the final skew and the route's detours.
+    if (!c.route_valid)
+      throw StatusError(Status::invalid_argument(
+          "final-metrics stage requires the route stage's result"));
     ensure_grid(c);
-    c.res.signoff = measure_stage(c.netlist, c.placement, c.res.grid,
-                                  c.cfg.timing, c.cfg.router, &c.skew,
-                                  &c.res.final_route);
+    c.res.final_route = c.route;
+    c.res.signoff = measure_stage(c.netlist, c.placement, c.res.final_route,
+                                  c.cfg.timing, &c.skew);
     c.res.placement = c.placement;
     publish_metrics(c, c.res.signoff);
   }, [](const FlowContext& c) {

@@ -3,51 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <queue>
 
 namespace dco3d {
-
-RouteGrid::RouteGrid(const GCellGrid& grid, const RouterConfig& cfg,
-                     int num_tiers)
-    : grid_(grid),
-      num_tiers_(num_tiers),
-      macro_factor_(cfg.macro_capacity_factor) {
-  const auto k = static_cast<std::size_t>(num_tiers_);
-  h_cap.assign(k, std::vector<double>(num_h_edges(), cfg.h_capacity));
-  v_cap.assign(k, std::vector<double>(num_v_edges(), cfg.v_capacity));
-  h_use.assign(k, std::vector<double>(num_h_edges(), 0.0));
-  v_use.assign(k, std::vector<double>(num_v_edges(), 0.0));
-  h_hist.assign(k, std::vector<double>(num_h_edges(), 0.0));
-  v_hist.assign(k, std::vector<double>(num_v_edges(), 0.0));
-}
-
-void RouteGrid::apply_macro_blockages(const Netlist& netlist,
-                                      const Placement3D& placement) {
-  const double f = macro_factor_;
-  for (std::size_t ci = 0; ci < netlist.num_cells(); ++ci) {
-    const auto id = static_cast<CellId>(ci);
-    if (!netlist.is_macro(id)) continue;
-    const CellType& t = netlist.cell_type(id);
-    const Rect m{placement.xy[ci].x, placement.xy[ci].y,
-                 placement.xy[ci].x + t.width, placement.xy[ci].y + t.height};
-    const int die = std::clamp(placement.tier[ci], 0, num_tiers_ - 1);
-    const int m0 = grid_.col_of(m.xlo), m1 = grid_.col_of(m.xhi);
-    const int n0 = grid_.row_of(m.ylo), n1 = grid_.row_of(m.yhi);
-    // Any edge whose either endpoint tile is covered by the macro loses
-    // capacity (the macro body blocks most routing layers).
-    for (int n = n0; n <= n1; ++n) {
-      for (int mm = m0; mm <= m1; ++mm) {
-        const Rect tr = grid_.tile_rect(mm, n);
-        if (tr.overlap_area(m) < 0.5 * tr.area()) continue;
-        if (mm > 0) h_cap[die][h_edge_index(mm - 1, n)] *= f;
-        if (mm < nx() - 1) h_cap[die][h_edge_index(mm, n)] *= f;
-        if (n > 0) v_cap[die][v_edge_index(mm, n - 1)] *= f;
-        if (n < ny() - 1) v_cap[die][v_edge_index(mm, n)] *= f;
-      }
-    }
-  }
-}
 
 namespace {
 
@@ -55,52 +14,134 @@ struct TilePt {
   int m = 0, n = 0;
 };
 
+/// One routed edge of a net (for rip-up).
+struct RoutedEdge {
+  std::int8_t die = 0;
+  bool horizontal = false;
+  std::int32_t index = 0;
+};
+
 /// Per-net routing record for rip-up.
 struct NetRoute {
   std::vector<RoutedEdge> edges;
 };
 
-struct Ctx {
-  const RouterConfig& cfg;
-  RouteGrid& rg;
+/// The edges of one routing direction on one die, indexed by edge.
+struct EdgeSet {
+  std::vector<double> cap, use, hist;
+  // Present cost of each edge, refreshed wherever cap/use/hist change
+  // (Router::refresh), so searches and L-shape sums read it directly.
+  std::vector<double> cost;
 
-  double edge_cost(int die, bool horizontal, std::size_t idx) const {
-    const double cap = horizontal ? rg.h_cap[die][idx] : rg.v_cap[die][idx];
-    const double use = horizontal ? rg.h_use[die][idx] : rg.v_use[die][idx];
-    const double hist = horizontal ? rg.h_hist[die][idx] : rg.v_hist[die][idx];
-    double c = 1.0 + hist;
-    if (use >= cap) c += cfg.present_penalty * (use - cap + 1.0);
-    return c;
+  EdgeSet(std::size_t n, double capacity)
+      : cap(n, capacity), use(n, 0.0), hist(n, 0.0), cost(n, 0.0) {}
+  bool over(std::size_t i) const { return use[i] > cap[i]; }
+  double overflow(std::size_t i) const { return std::max(use[i] - cap[i], 0.0); }
+};
+
+/// Edge state of a K-tier stack plus the maze-search scratch.
+class Router {
+ public:
+  Router(const GCellGrid& grid, const RouterConfig& cfg, int num_tiers)
+      : cfg_(cfg), grid_(grid), nx_(grid.nx()), ny_(grid.ny()) {
+    const auto nh = static_cast<std::size_t>(nx_ - 1) * ny_;
+    const auto nv = static_cast<std::size_t>(nx_) * (ny_ - 1);
+    h.assign(static_cast<std::size_t>(num_tiers), EdgeSet(nh, cfg.h_capacity));
+    v.assign(static_cast<std::size_t>(num_tiers), EdgeSet(nv, cfg.v_capacity));
+    for (auto* sets : {&h, &v})
+      for (EdgeSet& e : *sets)
+        for (std::size_t i = 0; i < e.cost.size(); ++i) refresh(e, i);
+  }
+
+  std::size_t h_edge_index(int m, int n) const {  // (m,n) -> (m+1,n)
+    return static_cast<std::size_t>(n) * (nx_ - 1) + m;
+  }
+  std::size_t v_edge_index(int m, int n) const {  // (m,n) -> (m,n+1)
+    return static_cast<std::size_t>(n) * nx_ + m;
+  }
+  EdgeSet& edges(int die, bool horizontal) {
+    return (horizontal ? h : v)[static_cast<std::size_t>(die)];
+  }
+
+  void refresh(EdgeSet& e, std::size_t i) const {
+    double c = 1.0 + e.hist[i];
+    if (e.use[i] >= e.cap[i]) c += cfg_.present_penalty * (e.use[i] - e.cap[i] + 1.0);
+    e.cost[i] = c;
+  }
+
+  /// Reduce capacity under macro blockages on each die.
+  void apply_macro_blockages(const Netlist& netlist, const Placement3D& placement) {
+    const double f = cfg_.macro_capacity_factor;
+    const int num_tiers = static_cast<int>(h.size());
+    auto block = [&](EdgeSet& e, std::size_t i) {
+      e.cap[i] *= f;
+      refresh(e, i);
+    };
+    for (std::size_t ci = 0; ci < netlist.num_cells(); ++ci) {
+      const auto id = static_cast<CellId>(ci);
+      if (!netlist.is_macro(id)) continue;
+      const CellType& t = netlist.cell_type(id);
+      const Rect m{placement.xy[ci].x, placement.xy[ci].y,
+                   placement.xy[ci].x + t.width, placement.xy[ci].y + t.height};
+      const int die = std::clamp(placement.tier[ci], 0, num_tiers - 1);
+      EdgeSet& hs = edges(die, true);
+      EdgeSet& vs = edges(die, false);
+      const int m0 = grid_.col_of(m.xlo), m1 = grid_.col_of(m.xhi);
+      const int n0 = grid_.row_of(m.ylo), n1 = grid_.row_of(m.yhi);
+      // Any edge whose either endpoint tile is covered by the macro loses
+      // capacity (the macro body blocks most routing layers).
+      for (int n = n0; n <= n1; ++n) {
+        for (int mm = m0; mm <= m1; ++mm) {
+          const Rect tr = grid_.tile_rect(mm, n);
+          if (tr.overlap_area(m) < 0.5 * tr.area()) continue;
+          if (mm > 0) block(hs, h_edge_index(mm - 1, n));
+          if (mm < nx_ - 1) block(hs, h_edge_index(mm, n));
+          if (n > 0) block(vs, v_edge_index(mm, n - 1));
+          if (n < ny_ - 1) block(vs, v_edge_index(mm, n));
+        }
+      }
+    }
   }
 
   void add_edge(NetRoute& route, int die, bool horizontal, std::size_t idx) {
-    auto& use = horizontal ? rg.h_use[die] : rg.v_use[die];
-    use[idx] += 1.0;
+    EdgeSet& e = edges(die, horizontal);
+    e.use[idx] += 1.0;
+    refresh(e, idx);
     route.edges.push_back({static_cast<std::int8_t>(die), horizontal,
                            static_cast<std::int32_t>(idx)});
   }
 
-  /// Straight horizontal run from (m0,n) to (m1,n).
-  void run_h(NetRoute& route, int die, int m0, int m1, int n) {
-    for (int m = std::min(m0, m1); m < std::max(m0, m1); ++m)
-      add_edge(route, die, true, rg.h_edge_index(m, n));
-  }
-  void run_v(NetRoute& route, int die, int n0, int n1, int m) {
-    for (int n = std::min(n0, n1); n < std::max(n0, n1); ++n)
-      add_edge(route, die, false, rg.v_edge_index(m, n));
+  void rip_up(NetRoute& route) {
+    for (const RoutedEdge& re : route.edges) {
+      EdgeSet& e = edges(re.die, re.horizontal);
+      const auto idx = static_cast<std::size_t>(re.index);
+      e.use[idx] -= 1.0;
+      refresh(e, idx);
+    }
+    route.edges.clear();
   }
 
-  double cost_h(int die, int m0, int m1, int n) const {
-    double c = 0.0;
-    for (int m = std::min(m0, m1); m < std::max(m0, m1); ++m)
-      c += edge_cost(die, true, rg.h_edge_index(m, n));
-    return c;
+  /// Adds the history increment to every overflowed edge; false if none is.
+  bool bump_history() {
+    bool any_overflow = false;
+    for (std::size_t die = 0; die < h.size(); ++die) {
+      for (EdgeSet* e : {&h[die], &v[die]}) {
+        for (std::size_t i = 0; i < e->cap.size(); ++i) {
+          if (!e->over(i)) continue;
+          e->hist[i] += cfg_.history_increment;
+          refresh(*e, i);
+          any_overflow = true;
+        }
+      }
+    }
+    return any_overflow;
   }
-  double cost_v(int die, int n0, int n1, int m) const {
-    double c = 0.0;
-    for (int n = std::min(n0, n1); n < std::max(n0, n1); ++n)
-      c += edge_cost(die, false, rg.v_edge_index(m, n));
-    return c;
+
+  bool net_overflows(const NetRoute& route) {
+    for (const RoutedEdge& re : route.edges)
+      if (edges(re.die, re.horizontal).over(static_cast<std::size_t>(re.index)))
+        return true;
+    return false;
   }
 
   /// Best-of-two L-shape route between tiles.
@@ -118,64 +159,172 @@ struct Ctx {
     }
   }
 
-  /// Dijkstra maze route within the bbox of (a, b) + margin.
+  /// Dijkstra maze route within the bbox of (a, b) + margin. Tiles settle
+  /// in (distance, tile id) order and a tile's predecessor changes only on
+  /// a strictly shorter distance, so the path among equal-cost ones is
+  /// fixed by the row-major tile numbering.
   void route_maze(NetRoute& route, int die, TilePt a, TilePt b) {
-    const int nx = rg.nx(), ny = rg.ny();
-    const int m0 = std::max(0, std::min(a.m, b.m) - cfg.maze_margin);
-    const int m1 = std::min(nx - 1, std::max(a.m, b.m) + cfg.maze_margin);
-    const int n0 = std::max(0, std::min(a.n, b.n) - cfg.maze_margin);
-    const int n1 = std::min(ny - 1, std::max(a.n, b.n) + cfg.maze_margin);
-    const int w = m1 - m0 + 1, h = n1 - n0 + 1;
-    auto lid = [&](int m, int n) { return (n - n0) * w + (m - m0); };
+    const int m0 = std::max(0, std::min(a.m, b.m) - cfg_.maze_margin);
+    const int m1 = std::min(nx_ - 1, std::max(a.m, b.m) + cfg_.maze_margin);
+    const int n0 = std::max(0, std::min(a.n, b.n) - cfg_.maze_margin);
+    const int n1 = std::min(ny_ - 1, std::max(a.n, b.n) + cfg_.maze_margin);
+    const double* hc = edges(die, true).cost.data();
+    const double* vc = edges(die, false).cost.data();
+    const std::int32_t source = a.n * nx_ + a.m;
+    const std::int32_t target = b.n * nx_ + b.m;
 
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(static_cast<std::size_t>(w) * h, kInf);
-    std::vector<std::int32_t> prev(static_cast<std::size_t>(w) * h, -1);
-    using QE = std::pair<double, std::int32_t>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
-    dist[static_cast<std::size_t>(lid(a.m, a.n))] = 0.0;
-    q.push({0.0, lid(a.m, a.n)});
-    const std::int32_t target = lid(b.m, b.n);
-
-    while (!q.empty()) {
-      auto [d, u] = q.top();
-      q.pop();
-      if (d > dist[static_cast<std::size_t>(u)]) continue;
+    begin_search();
+    relax(source, 0.0, -1);
+    while (!heap_.empty()) {
+      const auto [d, u] = pop();
       if (u == target) break;
-      const int um = m0 + (u % w), un = n0 + (u / w);
-      auto relax = [&](int vm, int vn, double ec) {
-        const std::int32_t v = lid(vm, vn);
-        if (d + ec < dist[static_cast<std::size_t>(v)]) {
-          dist[static_cast<std::size_t>(v)] = d + ec;
-          prev[static_cast<std::size_t>(v)] = u;
-          q.push({d + ec, v});
-        }
-      };
-      if (um > m0) relax(um - 1, un, edge_cost(die, true, rg.h_edge_index(um - 1, un)));
-      if (um < m1) relax(um + 1, un, edge_cost(die, true, rg.h_edge_index(um, un)));
-      if (un > n0) relax(um, un - 1, edge_cost(die, false, rg.v_edge_index(um, un - 1)));
-      if (un < n1) relax(um, un + 1, edge_cost(die, false, rg.v_edge_index(um, un)));
+      const int um = u % nx_, un = u / nx_;
+      const std::size_t hu = static_cast<std::size_t>(un) * (nx_ - 1) + um;
+      const std::size_t vu = static_cast<std::size_t>(u);
+      if (um > m0) relax(u - 1, d + hc[hu - 1], u);
+      if (um < m1) relax(u + 1, d + hc[hu], u);
+      if (un > n0) relax(u - nx_, d + vc[vu - nx_], u);
+      if (un < n1) relax(u + nx_, d + vc[vu], u);
     }
+    heap_.clear();
 
-    if (prev[static_cast<std::size_t>(target)] < 0 && target != lid(a.m, a.n)) {
-      // Unreachable within the window (should not happen on a full grid);
-      // fall back to an L route.
-      route_l(route, die, a, b);
-      return;
-    }
-    // Walk back and commit edges.
-    std::int32_t v = target;
-    while (v != lid(a.m, a.n)) {
-      const std::int32_t u = prev[static_cast<std::size_t>(v)];
-      const int um = m0 + (u % w), un = n0 + (u / w);
-      const int vm = m0 + (v % w), vn = n0 + (v / w);
-      if (un == vn)
-        add_edge(route, die, true, rg.h_edge_index(std::min(um, vm), un));
+    // Walk back and commit edges. The window is a full rectangle of tiles,
+    // so the target is always reached.
+    assert(nodes_[static_cast<std::size_t>(target)].stamp == stamp_);
+    for (std::int32_t w = target; w != source;) {
+      const std::int32_t u = nodes_[static_cast<std::size_t>(w)].prev;
+      const int un = u / nx_, wn = w / nx_;
+      if (un == wn)
+        add_edge(route, die, true, h_edge_index(std::min(u, w) % nx_, un));
       else
-        add_edge(route, die, false, rg.v_edge_index(um, std::min(un, vn)));
-      v = u;
+        add_edge(route, die, false, v_edge_index(u % nx_, std::min(un, wn)));
+      w = u;
     }
   }
+
+  std::vector<EdgeSet> h, v;  // [tier]
+
+ private:
+  /// Maze-search state of one tile; stale (unvisited by the current search)
+  /// unless `stamp` matches the router's.
+  struct Node {
+    double dist = 0.0;
+    std::int32_t prev = -1;
+    std::int32_t heap_pos = -1;  // -1: not in the heap
+    std::uint32_t stamp = 0;
+  };
+  struct HeapItem {
+    double dist;
+    std::int32_t id;
+  };
+  static bool before(const HeapItem& a, const HeapItem& b) {
+    // Non-short-circuit so the compiler can emit it without branches.
+    return (a.dist < b.dist) | ((a.dist == b.dist) & (a.id < b.id));
+  }
+  static constexpr std::size_t kArity = 4;
+
+  /// Invalidates every node in O(1). The full-grid scratch is allocated on
+  /// the first search, so L-route-only runs (calibration) never pay for it.
+  void begin_search() {
+    if (nodes_.empty()) nodes_.resize(static_cast<std::size_t>(nx_) * ny_);
+    if (++stamp_ == 0) {
+      for (Node& nd : nodes_) nd.stamp = 0;
+      stamp_ = 1;
+    }
+  }
+
+  /// Offers node `id` the distance `dist` via `from`; on a strict
+  /// improvement records it and inserts or decreases its heap entry.
+  void relax(std::int32_t id, double dist, std::int32_t from) {
+    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    if (nd.stamp != stamp_) {
+      nd = {std::numeric_limits<double>::infinity(), -1, -1, stamp_};
+    } else if (!(dist < nd.dist)) {
+      return;
+    }
+    nd.dist = dist;
+    nd.prev = from;
+    if (nd.heap_pos < 0) {
+      nd.heap_pos = static_cast<std::int32_t>(heap_.size());
+      heap_.push_back({dist, id});
+    }
+    sift_up(static_cast<std::size_t>(nd.heap_pos), {dist, id});
+  }
+
+  HeapItem pop() {
+    const HeapItem top = heap_.front();
+    nodes_[static_cast<std::size_t>(top.id)].heap_pos = -1;
+    const HeapItem last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    return top;
+  }
+
+  void place(std::size_t pos, const HeapItem& item) {
+    heap_[pos] = item;
+    nodes_[static_cast<std::size_t>(item.id)].heap_pos =
+        static_cast<std::int32_t>(pos);
+  }
+
+  void sift_up(std::size_t pos, const HeapItem& item) {
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / kArity;
+      if (!before(item, heap_[parent])) break;
+      place(pos, heap_[parent]);
+      pos = parent;
+    }
+    place(pos, item);
+  }
+
+  /// Re-seats `item` from the root down (the root slot is vacant).
+  void sift_down(const HeapItem& item) {
+    const std::size_t n = heap_.size();
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t first = pos * kArity + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t end = std::min(first + kArity, n);
+      for (std::size_t c = first + 1; c < end; ++c)
+        best = before(heap_[c], heap_[best]) ? c : best;
+      if (!before(heap_[best], item)) break;
+      place(pos, heap_[best]);
+      pos = best;
+    }
+    place(pos, item);
+  }
+
+  /// Straight horizontal run from (m0,n) to (m1,n).
+  void run_h(NetRoute& route, int die, int m0, int m1, int n) {
+    for (int m = std::min(m0, m1); m < std::max(m0, m1); ++m)
+      add_edge(route, die, true, h_edge_index(m, n));
+  }
+  void run_v(NetRoute& route, int die, int n0, int n1, int m) {
+    for (int n = std::min(n0, n1); n < std::max(n0, n1); ++n)
+      add_edge(route, die, false, v_edge_index(m, n));
+  }
+
+  double cost_h(int die, int m0, int m1, int n) {
+    const std::vector<double>& cost = edges(die, true).cost;
+    double c = 0.0;
+    for (int m = std::min(m0, m1); m < std::max(m0, m1); ++m)
+      c += cost[h_edge_index(m, n)];
+    return c;
+  }
+  double cost_v(int die, int n0, int n1, int m) {
+    const std::vector<double>& cost = edges(die, false).cost;
+    double c = 0.0;
+    for (int n = std::min(n0, n1); n < std::max(n0, n1); ++n)
+      c += cost[v_edge_index(m, n)];
+    return c;
+  }
+
+  const RouterConfig& cfg_;
+  const GCellGrid& grid_;
+  int nx_, ny_;
+  std::vector<Node> nodes_;  // maze scratch over the full grid
+  std::vector<HeapItem> heap_;  // 4-ary min-heap on (dist, tile id)
+  std::uint32_t stamp_ = 0;
 };
 
 /// Prim MST over tile points (Manhattan metric). Returns parent indices.
@@ -263,7 +412,7 @@ NetPlan plan_net(const Netlist& netlist, NetId net, const Placement3D& placement
   return plan;
 }
 
-void route_net(Ctx& ctx, const NetPlan& plan, NetRoute& route, bool maze) {
+void route_net(Router& router, const NetPlan& plan, NetRoute& route, bool maze) {
   for (int die = 0; die < static_cast<int>(plan.pts.size()); ++die) {
     const auto& pts = plan.pts[static_cast<std::size_t>(die)];
     if (pts.size() < 2) continue;
@@ -273,19 +422,31 @@ void route_net(Ctx& ctx, const NetPlan& plan, NetRoute& route, bool maze) {
       const TilePt b = pts[i];
       if (a.m == b.m && a.n == b.n) continue;
       if (maze)
-        ctx.route_maze(route, die, a, b);
+        router.route_maze(route, die, a, b);
       else
-        ctx.route_l(route, die, a, b);
+        router.route_l(route, die, a, b);
     }
   }
 }
 
-void rip_up(Ctx& ctx, NetRoute& route) {
-  for (const RoutedEdge& e : route.edges) {
-    auto& use = e.horizontal ? ctx.rg.h_use[e.die] : ctx.rg.v_use[e.die];
-    use[static_cast<std::size_t>(e.index)] -= 1.0;
+/// Every net's plan and current route.
+struct Routing {
+  std::vector<NetPlan> plans;
+  std::vector<NetRoute> routes;
+};
+
+/// Plans every net and L-routes it in net order: the initial routing of
+/// global_route and the whole of capacity calibration.
+Routing route_initial(Router& router, const Netlist& netlist,
+                      const Placement3D& placement, const GCellGrid& grid) {
+  const std::size_t n_nets = netlist.num_nets();
+  Routing r{std::vector<NetPlan>(n_nets), std::vector<NetRoute>(n_nets)};
+  for (std::size_t ni = 0; ni < n_nets; ++ni) {
+    r.plans[ni] = plan_net(netlist, static_cast<NetId>(ni), placement, grid,
+                           placement.num_tiers);
+    route_net(router, r.plans[ni], r.routes[ni], /*maze=*/false);
   }
-  route.edges.clear();
+  return r;
 }
 
 }  // namespace
@@ -293,60 +454,31 @@ void rip_up(Ctx& ctx, NetRoute& route) {
 RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
                          const GCellGrid& grid, const RouterConfig& cfg) {
   const int num_tiers = placement.num_tiers;
-  RouteGrid rg(grid, cfg, num_tiers);
-  rg.apply_macro_blockages(netlist, placement);
-  Ctx ctx{cfg, rg};
-
-  const std::size_t n_nets = netlist.num_nets();
-  std::vector<NetPlan> plans(n_nets);
-  std::vector<NetRoute> routes(n_nets);
-  std::size_t vias = 0;
-  std::vector<std::size_t> vias_per_boundary(
-      static_cast<std::size_t>(std::max(num_tiers - 1, 0)), 0);
-  for (std::size_t ni = 0; ni < n_nets; ++ni) {
-    plans[ni] =
-        plan_net(netlist, static_cast<NetId>(ni), placement, grid, num_tiers);
-    if (plans[ni].is3d) {
-      vias += static_cast<std::size_t>(plans[ni].span());
-      for (int b = plans[ni].tier_lo; b < plans[ni].tier_hi; ++b)
-        ++vias_per_boundary[static_cast<std::size_t>(b)];
-    }
-    route_net(ctx, plans[ni], routes[ni], /*maze=*/false);
-  }
+  Router router(grid, cfg, num_tiers);
+  router.apply_macro_blockages(netlist, placement);
+  Routing routing = route_initial(router, netlist, placement, grid);
+  const std::vector<NetPlan>& plans = routing.plans;
+  std::vector<NetRoute>& routes = routing.routes;
+  const std::size_t n_nets = plans.size();
 
   // Negotiated rip-up and reroute.
   for (int round = 0; round < cfg.rrr_rounds; ++round) {
-    // Bump history on overflowed edges.
-    bool any_overflow = false;
-    for (int die = 0; die < num_tiers; ++die) {
-      for (std::size_t i = 0; i < rg.num_h_edges(); ++i)
-        if (rg.h_use[die][i] > rg.h_cap[die][i]) {
-          rg.h_hist[die][i] += cfg.history_increment;
-          any_overflow = true;
-        }
-      for (std::size_t i = 0; i < rg.num_v_edges(); ++i)
-        if (rg.v_use[die][i] > rg.v_cap[die][i]) {
-          rg.v_hist[die][i] += cfg.history_increment;
-          any_overflow = true;
-        }
-    }
-    if (!any_overflow) break;
-
+    if (!router.bump_history()) break;
     for (std::size_t ni = 0; ni < n_nets; ++ni) {
-      bool over = false;
-      for (const RoutedEdge& e : routes[ni].edges) {
-        const auto idx = static_cast<std::size_t>(e.index);
-        const double use = e.horizontal ? rg.h_use[e.die][idx] : rg.v_use[e.die][idx];
-        const double cap = e.horizontal ? rg.h_cap[e.die][idx] : rg.v_cap[e.die][idx];
-        if (use > cap) {
-          over = true;
-          break;
-        }
-      }
-      if (!over) continue;
-      rip_up(ctx, routes[ni]);
-      route_net(ctx, plans[ni], routes[ni], /*maze=*/true);
+      if (!router.net_overflows(routes[ni])) continue;
+      router.rip_up(routes[ni]);
+      route_net(router, plans[ni], routes[ni], /*maze=*/true);
     }
+  }
+
+  std::size_t vias = 0;
+  std::vector<std::size_t> vias_per_boundary(
+      static_cast<std::size_t>(std::max(num_tiers - 1, 0)), 0);
+  for (const NetPlan& plan : plans) {
+    if (!plan.is3d) continue;
+    vias += static_cast<std::size_t>(plan.span());
+    for (int b = plan.tier_lo; b < plan.tier_hi; ++b)
+      ++vias_per_boundary[static_cast<std::size_t>(b)];
   }
 
   // Collect metrics.
@@ -360,43 +492,32 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
   res.tier_overflow.assign(static_cast<std::size_t>(num_tiers), 0.0);
   std::size_t ovf_tiles = 0;
   for (int die = 0; die < num_tiers; ++die) {
+    const EdgeSet& hs = router.h[static_cast<std::size_t>(die)];
+    const EdgeSet& vs = router.v[static_cast<std::size_t>(die)];
     for (int n = 0; n < grid.ny(); ++n) {
       for (int m = 0; m < grid.nx(); ++m) {
         double tile_ovf = 0.0, tile_use = 0.0;
-        auto edge = [&](bool horizontal, int mm, int nn) {
-          if (horizontal) {
-            if (mm < 0 || mm >= grid.nx() - 1) return;
-            const std::size_t i = rg.h_edge_index(mm, nn);
-            tile_use += rg.h_use[die][i] * 0.5;
-            tile_ovf += std::max(rg.h_use[die][i] - rg.h_cap[die][i], 0.0) * 0.5;
-          } else {
-            if (nn < 0 || nn >= grid.ny() - 1) return;
-            const std::size_t i = rg.v_edge_index(mm, nn);
-            tile_use += rg.v_use[die][i] * 0.5;
-            tile_ovf += std::max(rg.v_use[die][i] - rg.v_cap[die][i], 0.0) * 0.5;
-          }
+        auto edge = [&](const EdgeSet& e, std::size_t i) {
+          tile_use += e.use[i] * 0.5;
+          tile_ovf += e.overflow(i) * 0.5;
         };
-        edge(true, m - 1, n);
-        edge(true, m, n);
-        edge(false, m, n - 1);
-        edge(false, m, n);
+        if (m > 0) edge(hs, router.h_edge_index(m - 1, n));
+        if (m < grid.nx() - 1) edge(hs, router.h_edge_index(m, n));
+        if (n > 0) edge(vs, router.v_edge_index(m, n - 1));
+        if (n < grid.ny() - 1) edge(vs, router.v_edge_index(m, n));
         const auto ti = static_cast<std::size_t>(grid.index(m, n));
         res.congestion[die][ti] = static_cast<float>(tile_ovf);
         res.usage[die][ti] = static_cast<float>(tile_use);
         if (tile_ovf > 0.0) ++ovf_tiles;
       }
     }
-    for (std::size_t i = 0; i < rg.num_h_edges(); ++i)
-      res.h_overflow += std::max(rg.h_use[die][i] - rg.h_cap[die][i], 0.0);
-    for (std::size_t i = 0; i < rg.num_v_edges(); ++i)
-      res.v_overflow += std::max(rg.v_use[die][i] - rg.v_cap[die][i], 0.0);
+    for (std::size_t i = 0; i < hs.cap.size(); ++i) res.h_overflow += hs.overflow(i);
+    for (std::size_t i = 0; i < vs.cap.size(); ++i) res.v_overflow += vs.overflow(i);
     // Per-tier overflow, accumulated separately so the legacy h/v overflow
     // summation order above is untouched.
     double tovf = 0.0;
-    for (std::size_t i = 0; i < rg.num_h_edges(); ++i)
-      tovf += std::max(rg.h_use[die][i] - rg.h_cap[die][i], 0.0);
-    for (std::size_t i = 0; i < rg.num_v_edges(); ++i)
-      tovf += std::max(rg.v_use[die][i] - rg.v_cap[die][i], 0.0);
+    for (std::size_t i = 0; i < hs.cap.size(); ++i) tovf += hs.overflow(i);
+    for (std::size_t i = 0; i < vs.cap.size(); ++i) tovf += vs.overflow(i);
     res.tier_overflow[static_cast<std::size_t>(die)] = tovf;
   }
   res.total_overflow = res.h_overflow + res.v_overflow;
@@ -409,8 +530,8 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
   // boundary crossing.
   double wl = 0.0;
   for (int die = 0; die < num_tiers; ++die) {
-    for (double u : rg.h_use[die]) wl += u * grid.tile_width();
-    for (double u : rg.v_use[die]) wl += u * grid.tile_height();
+    for (double u : router.h[static_cast<std::size_t>(die)].use) wl += u * grid.tile_width();
+    for (double u : router.v[static_cast<std::size_t>(die)].use) wl += u * grid.tile_height();
   }
   res.wirelength = wl + static_cast<double>(vias) * 0.5 * grid.tile_width();
 
@@ -419,11 +540,9 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
   res.net_overflow_crossings.assign(n_nets, 0.0);
   for (std::size_t ni = 0; ni < n_nets; ++ni) {
     for (const RoutedEdge& e : routes[ni].edges) {
-      const auto idx = static_cast<std::size_t>(e.index);
       res.net_routed_wl[ni] += e.horizontal ? grid.tile_width() : grid.tile_height();
-      const double use = e.horizontal ? rg.h_use[e.die][idx] : rg.v_use[e.die][idx];
-      const double cap = e.horizontal ? rg.h_cap[e.die][idx] : rg.v_cap[e.die][idx];
-      if (use > cap) res.net_overflow_crossings[ni] += 1.0;
+      if (router.edges(e.die, e.horizontal).over(static_cast<std::size_t>(e.index)))
+        res.net_overflow_crossings[ni] += 1.0;
     }
     if (plans[ni].is3d)
       res.net_routed_wl[ni] +=
@@ -431,8 +550,6 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
   }
   return res;
 }
-
-
 
 namespace {
 double usage_percentile(std::vector<double> values, double percentile) {
@@ -453,22 +570,13 @@ RouterConfig calibrate_capacity(const Netlist& netlist,
   RouterConfig probe = base;
   probe.h_capacity = 1e9;
   probe.v_capacity = 1e9;
-  probe.rrr_rounds = 0;
-
-  const int num_tiers = placement.num_tiers;
-  RouteGrid rg(grid, probe, num_tiers);
-  Ctx ctx{probe, rg};
-  for (std::size_t ni = 0; ni < netlist.num_nets(); ++ni) {
-    NetPlan plan =
-        plan_net(netlist, static_cast<NetId>(ni), placement, grid, num_tiers);
-    NetRoute route;
-    route_net(ctx, plan, route, /*maze=*/false);
-  }
+  Router router(grid, probe, placement.num_tiers);
+  route_initial(router, netlist, placement, grid);
 
   std::vector<double> h_all, v_all;
-  for (int die = 0; die < num_tiers; ++die) {
-    h_all.insert(h_all.end(), rg.h_use[die].begin(), rg.h_use[die].end());
-    v_all.insert(v_all.end(), rg.v_use[die].begin(), rg.v_use[die].end());
+  for (std::size_t die = 0; die < router.h.size(); ++die) {
+    h_all.insert(h_all.end(), router.h[die].use.begin(), router.h[die].use.end());
+    v_all.insert(v_all.end(), router.v[die].use.begin(), router.v[die].use.end());
   }
   RouterConfig out = base;
   out.h_capacity = std::max(2.0, std::ceil(usage_percentile(h_all, percentile)));

@@ -13,9 +13,11 @@
 // hops. Initial routing uses best-of-two L-shapes; negotiated
 // rip-up-and-reroute (history-cost Dijkstra) then resolves overflow for a
 // configurable number of rounds — exactly the classical NCTU/NTHU-style
-// global routing loop.
+// global routing loop. The Dijkstra settles tiles in (distance, tile id)
+// order, so among equal-cost paths the one it picks is fixed, and with it
+// every bit of the result (docs/performance.md, "Global router").
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "grid/gcell_grid.hpp"
@@ -33,50 +35,6 @@ struct RouterConfig {
   double history_increment = 1.0;
   double present_penalty = 2.0;  // cost multiplier per unit of overuse
   int maze_margin = 6;           // extra tiles around the net bbox for maze search
-};
-
-/// Per-die edge capacity/usage state for a K-tier stack.
-class RouteGrid {
- public:
-  RouteGrid(const GCellGrid& grid, const RouterConfig& cfg, int num_tiers = 2);
-
-  const GCellGrid& gcells() const { return grid_; }
-  int nx() const { return grid_.nx(); }
-  int ny() const { return grid_.ny(); }
-  int num_tiers() const { return num_tiers_; }
-
-  std::size_t h_edge_index(int m, int n) const {  // (m,n) -> (m+1,n)
-    return static_cast<std::size_t>(n) * (nx() - 1) + m;
-  }
-  std::size_t v_edge_index(int m, int n) const {  // (m,n) -> (m,n+1)
-    return static_cast<std::size_t>(n) * nx() + m;
-  }
-  std::size_t num_h_edges() const {
-    return static_cast<std::size_t>(nx() - 1) * ny();
-  }
-  std::size_t num_v_edges() const {
-    return static_cast<std::size_t>(nx()) * (ny() - 1);
-  }
-
-  /// Reduce capacity under macro blockages on each die.
-  void apply_macro_blockages(const Netlist& netlist, const Placement3D& placement);
-
-  // Indexed [tier][edge].
-  std::vector<std::vector<double>> h_cap, v_cap;
-  std::vector<std::vector<double>> h_use, v_use;
-  std::vector<std::vector<double>> h_hist, v_hist;
-
- private:
-  GCellGrid grid_;
-  int num_tiers_ = 2;
-  double macro_factor_ = 0.15;
-};
-
-/// One routed edge of a net (for rip-up).
-struct RoutedEdge {
-  std::int8_t die = 0;
-  bool horizontal = false;
-  std::int32_t index = 0;
 };
 
 struct RouteResult {

@@ -85,6 +85,11 @@ struct NamedUnary {
   double scale;  // input magnitude
 };
 
+// Print the op by name: gtest's default byte dump would put the pointer
+// values, which move with address-space randomization, into every
+// registered test name.
+void PrintTo(const NamedUnary& u, std::ostream* os) { *os << u.name; }
+
 class UnaryGradTest : public ::testing::TestWithParam<NamedUnary> {};
 
 TEST_P(UnaryGradTest, MatchesNumericalGradient) {

@@ -11,6 +11,8 @@
 #include "flow/pin3d.hpp"
 #include "flow/signoff.hpp"
 #include "flow/stage.hpp"
+#include "netlist/generators.hpp"
+#include "place/placer3d.hpp"
 #include "place/legalize.hpp"
 #include "route/router.hpp"
 #include "test_helpers.hpp"
@@ -213,6 +215,66 @@ TEST(Pipeline, ResumeFromCacheReproducesFullRun) {
   expect_flow_eq(pin3d_pipeline().run(ctx3, from_start), want);
 
   std::filesystem::remove_all(cache);
+}
+
+/// Every field of a RouteResult, at any tier count.
+void expect_route_fields_eq(const RouteResult& a, const RouteResult& b) {
+  EXPECT_EQ(a.num_tiers, b.num_tiers);
+  EXPECT_EQ(a.congestion, b.congestion);
+  EXPECT_EQ(a.usage, b.usage);
+  EXPECT_EQ(a.total_overflow, b.total_overflow);
+  EXPECT_EQ(a.h_overflow, b.h_overflow);
+  EXPECT_EQ(a.v_overflow, b.v_overflow);
+  EXPECT_EQ(a.tier_overflow, b.tier_overflow);
+  EXPECT_EQ(a.vias_per_boundary, b.vias_per_boundary);
+  EXPECT_EQ(a.ovf_gcell_pct, b.ovf_gcell_pct);
+  EXPECT_EQ(a.wirelength, b.wirelength);
+  EXPECT_EQ(a.num_3d_vias, b.num_3d_vias);
+  EXPECT_EQ(a.net_routed_wl, b.net_routed_wl);
+  EXPECT_EQ(a.net_overflow_crossings, b.net_overflow_crossings);
+}
+
+// final-metrics reports the route stage's result instead of routing again:
+// signoff only resizes cells, which moves no pin and no macro, so a fresh
+// route of the post-signoff netlist and placement must equal it exactly.
+// Capacity is calibrated tight so rip-up-and-reroute runs.
+TEST(Pipeline, FinalRouteEqualsFreshRouteOfSignoffState) {
+  for (DesignKind kind : {DesignKind::kDma, DesignKind::kLdpc, DesignKind::kAes}) {
+    for (int tiers : {2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "kind=" << static_cast<int>(kind) << " tiers=" << tiers);
+      const Netlist design = generate_design(spec_for(kind, 0.02));
+      FlowConfig cfg = small_cfg();
+      cfg.num_tiers = tiers;
+      const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed,
+                                             /*legalized=*/true, tiers);
+      cfg.router = calibrated_router(design, ref, cfg.grid_nx, 0.70);
+
+      FlowContext ctx = make_flow_context(design, cfg);
+      const FlowResult r = pin3d_pipeline().run(ctx);
+      ASSERT_GT(r.signoff_detail.upsized + r.signoff_detail.downsized, 0)
+          << "signoff must have resized cells for this check to mean much";
+      const RouteResult fresh =
+          global_route(ctx.netlist, r.placement, r.grid, cfg.router);
+      expect_route_fields_eq(r.final_route, fresh);
+      EXPECT_EQ(r.signoff.overflow, fresh.total_overflow);
+      EXPECT_EQ(r.signoff.wirelength_um, fresh.wirelength);
+    }
+  }
+}
+
+TEST(Pipeline, FinalMetricsWithoutRouteIsInvalidArgument) {
+  const Netlist design = testing::tiny_design(120);
+  FlowContext ctx = make_flow_context(design, small_cfg());
+  ctx.placement = place_pseudo3d(design, ctx.cfg.place_params, ctx.cfg.seed);
+  PipelineOptions opts;
+  opts.start_at = "final-metrics";
+  try {
+    pin3d_pipeline().run(ctx, opts);
+    FAIL() << "expected StatusError";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(Pipeline, ResumeWithoutArtifactIsNotFound) {

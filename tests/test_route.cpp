@@ -1,8 +1,15 @@
 // Global router tests: capacity model, L-routing, rip-up & reroute,
-// overflow accounting, 3D via handling, macro blockage.
+// overflow accounting, 3D via handling, macro blockage, and maze-path
+// goldens (RouterGolden) that pin every bit of the rip-up-and-reroute
+// result on congested inputs.
+
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "flow/artifact.hpp"
+#include "netlist/generators.hpp"
 #include "place/placer3d.hpp"
 #include "route/router.hpp"
 #include "test_helpers.hpp"
@@ -226,6 +233,88 @@ TEST(Router, ScalesWithPlacementQuality) {
   // Not strictly guaranteed per-seed, but with these extremes the ordering
   // is robust; it is the core signal the whole paper builds on.
   EXPECT_LE(ovf_good, ovf_bad * 1.1 + 10.0);
+}
+
+// ---------------------------------------------------------------------------
+// Maze-path goldens. Each case calibrates capacity at the 70th percentile so
+// the initial L-routes overflow and negotiated rip-up-and-reroute runs for
+// real; the macroheavy case also routes through macro-reduced (x0.15, so
+// non-integer) capacities where equal-cost ties are most fragile. Values
+// were recorded from the priority-queue Dijkstra router; any change to the
+// order in which the maze search settles tiles moves them.
+
+/// FNV-1a continued over the bytes of `v`.
+template <typename T>
+std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
+  if (v.empty()) return h;
+  return fnv1a64(std::string(reinterpret_cast<const char*>(v.data()),
+                             v.size() * sizeof(T)),
+                 h);
+}
+
+/// One hash over the per-tile maps and the per-net vectors.
+std::uint64_t route_hash(const RouteResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& m : r.congestion) h = fnv1a_vec(h, m);
+  for (const auto& m : r.usage) h = fnv1a_vec(h, m);
+  h = fnv1a_vec(h, r.net_routed_wl);
+  return fnv1a_vec(h, r.net_overflow_crossings);
+}
+
+struct RouterGoldenCase {
+  const char* name;
+  DesignKind kind;
+  double scale;
+  int tiers;
+  int grid;
+  // Recorded values.
+  double total_overflow, h_overflow, v_overflow, wirelength;
+  std::size_t num_3d_vias;
+  std::uint64_t hash;
+};
+
+void check_router_golden(const RouterGoldenCase& g) {
+  SCOPED_TRACE(g.name);
+  const Netlist nl = generate_design(spec_for(g.kind, g.scale));
+  const Placement3D pl =
+      place_pseudo3d(nl, PlacementParams{}, 7, /*legalized=*/true, g.tiers);
+  const GCellGrid grid(pl.outline, g.grid, g.grid);
+  const RouterConfig cfg = calibrate_capacity(nl, pl, grid, {}, 0.70);
+  ASSERT_GT(cfg.rrr_rounds, 0);
+
+  const RouteResult r = global_route(nl, pl, grid, cfg);
+  RouterConfig no_rrr = cfg;
+  no_rrr.rrr_rounds = 0;
+  const RouteResult l_only = global_route(nl, pl, grid, no_rrr);
+  // Rip-up-and-reroute must actually have run and helped.
+  EXPECT_GT(l_only.total_overflow, r.total_overflow);
+
+  EXPECT_EQ(r.num_tiers, g.tiers);
+  EXPECT_EQ(r.total_overflow, g.total_overflow);
+  EXPECT_EQ(r.h_overflow, g.h_overflow);
+  EXPECT_EQ(r.v_overflow, g.v_overflow);
+  EXPECT_EQ(r.wirelength, g.wirelength);
+  EXPECT_EQ(r.num_3d_vias, g.num_3d_vias);
+  EXPECT_EQ(route_hash(r), g.hash);
+}
+
+TEST(RouterGolden, LdpcTwoTierCalibrated) {
+  check_router_golden({"ldpc_k2", DesignKind::kLdpc, 0.02, 2, 32,
+                       0x1.e8p+7, 0x1.dp+4, 0x1.aep+7, 0x1.cea5243c16795p+10,
+                       221, 0xfbbe15a638c7311eull});
+}
+
+TEST(RouterGolden, AesThreeTierCalibrated) {
+  check_router_golden({"aes_k3", DesignKind::kAes, 0.02, 3, 24,
+                       0x1.efp+10, 0x1.81p+9, 0x1.2e8p+10, 0x1.ba28f68769defp+12,
+                       1295, 0x6d06979933c07549ull});
+}
+
+TEST(RouterGolden, MacroHeavyReducedCapacity) {
+  check_router_golden({"macroheavy_k2", DesignKind::kMacroHeavy, 0.02, 2, 32,
+                       0x1.03699999999bp+11, 0x1.e1cccccccccf1p+9,
+                       0x1.15ecccccccce7p+10, 0x1.2b90f6843026cp+11, 234,
+                       0x6625175451237b92ull});
 }
 
 }  // namespace

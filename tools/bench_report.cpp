@@ -248,6 +248,9 @@ KernelSuite measure_kernels(double scale, int reps) {
   });
   add("global_route_k2", [&] { global_route(design, pl2, grid); });
   add("global_route_k3", [&] { global_route(design, pl3, grid3); });
+  // Capacity calibrated tight, so rip-up-and-reroute's maze search runs.
+  const RouterConfig tight = calibrate_capacity(design, pl2, grid, {}, 0.70);
+  add("global_route_rrr_k2", [&] { global_route(design, pl2, grid, tight); });
   add("sta", [&] { run_sta(design, pl2, tcfg); });
   add("fm_partition_k2", [&] {
     std::vector<int> tiers = seed_tiers_checkerboard(design, pl2, 16, 2);
@@ -620,6 +623,14 @@ int run_compare(int argc, char** argv) {
     std::fprintf(stderr, "bench_report compare: cannot read %s\n",
                  baseline_path);
     return 2;
+  }
+  // Measure at the pool size the baseline was recorded with: at another
+  // size the µs-scale rows time pool dispatch, not the kernel.
+  const std::size_t tpos = base.find("\"threads\":");
+  if (tpos != std::string::npos) {
+    const int base_threads =
+        std::atoi(base.c_str() + tpos + std::strlen("\"threads\":"));
+    if (base_threads > 0) util::set_num_threads(base_threads);
   }
   const std::string schema = scan_string(base, "schema");
   std::vector<Entry> committed, fresh;
