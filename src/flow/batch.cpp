@@ -31,11 +31,8 @@ std::vector<BatchJob> make_generator_jobs(const std::vector<DesignKind>& kinds,
     job.design = generate_design(spec);
     job.cfg = base;
     job.cfg.seed = batch_seed(base_seed, i);
-    const Placement3D ref =
-        place_pseudo3d(job.design, job.cfg.place_params, job.cfg.seed,
-                       /*legalized=*/true, job.cfg.num_tiers);
-    job.cfg.router = calibrated_router(job.design, ref, job.cfg.grid_nx,
-                                       calibration_pctile);
+    job.cfg.router =
+        calibrated_router(job.design, job.cfg, calibration_pctile);
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -80,7 +80,8 @@ std::uint64_t batch_seed(std::uint64_t base_seed, std::size_t index);
 std::vector<BatchJob> make_generator_jobs(const std::vector<DesignKind>& kinds,
                                           double scale, const FlowConfig& base,
                                           std::uint64_t base_seed,
-                                          double calibration_pctile = 0.70);
+                                          double calibration_pctile =
+                                              kCalibrationPctile);
 
 /// Merged summary: one row per entry with the Table-III style columns of
 /// both measured stages, plus wall time and failure statuses.

@@ -6,7 +6,9 @@
 
 #include <chrono>
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "flow/batch.hpp"
 #include "netlist/generators.hpp"
@@ -302,9 +304,7 @@ void Server::run_job(Job& job) {
     cfg.grid_nx = cfg.grid_ny = job.spec.grid;
     cfg.num_tiers = job.spec.tiers;
     cfg.seed = spec.seed;
-    const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed,
-                                           /*legalized=*/true, cfg.num_tiers);
-    cfg.router = calibrated_router(design, ref, cfg.grid_nx, 0.70);
+    cfg.router = calibrated_router(design, cfg);
 
     FlowContext ctx = make_flow_context(design, cfg);
     ctx.design_name = spec.name;
@@ -491,12 +491,53 @@ void snapshot_fields(JsonWriter& w, const JobSnapshot& s) {
   }
 }
 
+/// True when `key` is absent, not a number, or a number whose truncation
+/// toward zero lies in T's range, i.e. when casting it to T is defined.
+template <typename T>
+bool fits(const JsonObject& req, const char* key) {
+  const double v = util::json_num(req, key, 0.0);
+  return v > static_cast<double>(std::numeric_limits<T>::min()) - 1.0 &&
+         v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+}
+
+/// Submit's numeric knobs must be finite and, for the integer ones, fit the
+/// type they are cast to (the flow knobs below, the search knobs in the
+/// search runner). Checked before any cast, so a bad value is a rejection
+/// and never a job.
+Status check_submit_numbers(const JsonObject& req) {
+  for (const char* k : {"scale", "clock_ps", "deadline_ms", "promote", "xi"})
+    if (!std::isfinite(util::json_num(req, k, 0.0)))
+      return Status::invalid_argument(std::string(k) +
+                                      " must be a finite number");
+  for (const char* k :
+       {"grid", "tiers", "priority", "rounds", "batch", "init", "candidates"})
+    if (!fits<int>(req, k))
+      return Status::invalid_argument(std::string(k) +
+                                      " is out of range for an int");
+  for (const char* k : {"seed", "search_seed"})
+    if (!fits<std::uint64_t>(req, k))
+      return Status::invalid_argument(std::string(k) +
+                                      " is out of range for a uint64");
+  return Status();
+}
+
+std::string rejection(const Status& st) {
+  return JsonWriter()
+      .field("ok", false)
+      .field("status", status_code_name(st.code()))
+      .field("retriable", false)
+      .field("message", st.message())
+      .done();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Protocol.
 
 std::string Server::handle_submit(const JsonObject& req, int fd) {
+  Status kind_err = check_submit_numbers(req);
+  if (!kind_err.ok()) return rejection(kind_err);
   ServeJobSpec spec;
   spec.type = util::json_str(req, "type", spec.type);
   spec.kind = util::json_str(req, "kind", spec.kind);
@@ -513,7 +554,6 @@ std::string Server::handle_submit(const JsonObject& req, int fd) {
 
   // Validate what we can before admission so malformed submissions are
   // plain invalid_argument rejections, not shed/failed jobs.
-  Status kind_err;
   parse_serve_kind(spec.kind, kind_err);
   if (spec.type != "flow" &&
       cfg_.runners.find(spec.type) == cfg_.runners.end())
@@ -530,14 +570,7 @@ std::string Server::handle_submit(const JsonObject& req, int fd) {
     kind_err = Status::invalid_argument("tiers must be >= 2");
   if (spec.scale <= 0.0)
     kind_err = Status::invalid_argument("scale must be > 0");
-  if (!kind_err.ok()) {
-    return JsonWriter()
-        .field("ok", false)
-        .field("status", status_code_name(kind_err.code()))
-        .field("retriable", false)
-        .field("message", kind_err.message())
-        .done();
-  }
+  if (!kind_err.ok()) return rejection(kind_err);
 
   std::shared_ptr<Job> job = std::make_shared<Job>();
   job->spec = std::move(spec);

@@ -523,4 +523,11 @@ RouterConfig calibrated_router(const Netlist& design, const Placement3D& ref,
   return calibrate_capacity(design, ref, grid, {}, pctile);
 }
 
+RouterConfig calibrated_router(const Netlist& design, const FlowConfig& cfg,
+                               double pctile) {
+  const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed,
+                                         /*legalized=*/true, cfg.num_tiers);
+  return calibrated_router(design, ref, cfg.grid_nx, pctile);
+}
+
 }  // namespace dco3d

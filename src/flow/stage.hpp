@@ -192,11 +192,22 @@ std::string flow_cache_key(const FlowContext& ctx);
 std::vector<std::string> flow_stage_keys(const FlowContext& ctx,
                                          const Pipeline& pipeline);
 
-/// Shared router-calibration glue (used by the CLI subcommands and batch
-/// jobs): grid over the reference placement's outline, capacities at the
-/// usage percentile. One calibration must be reused across flow variants of
-/// the same design so comparisons share a capacity model.
+/// Usage percentile at which router calibration sets the track capacities.
+inline constexpr double kCalibrationPctile = 0.70;
+
+/// Shared router-calibration glue: grid over the reference placement's
+/// outline, capacities at the usage percentile. One calibration must be
+/// reused across flow variants of the same design so comparisons share a
+/// capacity model.
 RouterConfig calibrated_router(const Netlist& design, const Placement3D& ref,
                                int grid_n, double pctile);
+
+/// Calibration for a flow run with `cfg`: the reference is the legalized
+/// placement the flow's own place3d stage starts from (cfg.place_params,
+/// cfg.seed, cfg.num_tiers) on cfg.grid_nx, so the capacity model every
+/// consumer of cfg.router sees — DCO trial routes, signoff, a predictor's
+/// training labels — is the same one.
+RouterConfig calibrated_router(const Netlist& design, const FlowConfig& cfg,
+                               double pctile = kCalibrationPctile);
 
 }  // namespace dco3d

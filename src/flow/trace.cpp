@@ -1,88 +1,38 @@
 #include "flow/trace.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "flow/cache.hpp"
+#include "util/jsonl.hpp"
 #include "util/status.hpp"
 
 namespace dco3d {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string num(double v) {
-  // JSON has no NaN/Inf literals; clamp to null-free sentinel 0 with a flag
-  // bit would complicate consumers, so emit 0 for non-finite (stages publish
-  // finite metrics in practice; the guard layer recovers NaNs upstream).
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string StageTraceEntry::to_json() const {
-  std::string j = "{\"schema\":\"";
-  j += kStageTraceSchema;
-  j += "\"";
-  if (!design.empty()) {
-    j += ",\"design\":";
-    append_escaped(j, design);
-  }
-  j += ",\"stage\":";
-  append_escaped(j, stage);
-  j += ",\"index\":" + std::to_string(index);
-  j += ",\"cached\":";
-  j += cached ? "true" : "false";
-  j += ",\"wall_ms\":" + num(wall_ms);
-  j += ",\"threads\":" + std::to_string(threads);
-  j += ",\"arena\":{\"requests\":" + std::to_string(arena.requests) +
-       ",\"pool_hits\":" + std::to_string(arena.pool_hits) +
-       ",\"heap_allocs\":" + std::to_string(arena.heap_allocs) +
-       ",\"live_bytes\":" + std::to_string(arena.live_bytes) +
-       ",\"peak_bytes\":" + std::to_string(arena.peak_bytes) +
-       ",\"pooled_bytes\":" + std::to_string(arena.pooled_bytes) + "}";
-  j += ",\"pool\":{\"dispatches\":" + std::to_string(pool.dispatches) +
-       ",\"inline_runs\":" + std::to_string(pool.inline_runs) +
-       ",\"chunks\":" + std::to_string(pool.chunks) + "}";
-  j += ",\"metrics\":{";
-  bool first = true;
-  for (const auto& [k, v] : metrics) {
-    if (!first) j += ',';
-    first = false;
-    append_escaped(j, k);
-    j += ':' + num(v);
-  }
-  j += "}}";
-  return j;
+  util::JsonWriter w;
+  w.field("schema", kStageTraceSchema);
+  if (!design.empty()) w.field("design", design);
+  w.field("stage", stage)
+      .field("index", index)
+      .field("cached", cached)
+      .field("wall_ms", wall_ms)
+      .field("threads", threads)
+      .raw("arena", util::JsonWriter()
+                        .field("requests", arena.requests)
+                        .field("pool_hits", arena.pool_hits)
+                        .field("heap_allocs", arena.heap_allocs)
+                        .field("live_bytes", arena.live_bytes)
+                        .field("peak_bytes", arena.peak_bytes)
+                        .field("pooled_bytes", arena.pooled_bytes)
+                        .done())
+      .raw("pool", util::JsonWriter()
+                       .field("dispatches", pool.dispatches)
+                       .field("inline_runs", pool.inline_runs)
+                       .field("chunks", pool.chunks)
+                       .done());
+  util::JsonWriter m;
+  for (const auto& [k, v] : metrics) m.field(k, v);
+  return w.raw("metrics", m.done()).done();
 }
 
 StageTraceEntry cache_footer_entry(const std::string& design, int index,

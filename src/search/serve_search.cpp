@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "place/placer3d.hpp"
 #include "search/evaluator.hpp"
 #include "search/searcher.hpp"
 #include "util/rng.hpp"
@@ -28,10 +27,7 @@ ServeJobRunner make_search_job_runner() {
       base.grid_nx = base.grid_ny = ctx.spec.grid;
       base.num_tiers = ctx.spec.tiers;
       base.seed = spec.seed;
-      const Placement3D ref =
-          place_pseudo3d(design, base.place_params, base.seed,
-                         /*legalized=*/true, base.num_tiers);
-      base.router = calibrated_router(design, ref, base.grid_nx, 0.70);
+      base.router = calibrated_router(design, base);
 
       FlowEvaluatorConfig ec;
       ec.cache = ctx.cache;
@@ -39,6 +35,8 @@ ServeJobRunner make_search_job_runner() {
       ec.cancel = ctx.cancel;
       FlowEvaluator evaluator(spec.name, design, base, ec);
 
+      // The server checked these knobs at submit (finite, and in range of
+      // the integer types cast to), so the casts below are defined.
       SearchConfig sc;
       sc.rounds =
           static_cast<int>(util::json_num(ctx.request, "rounds", 4.0));

@@ -1,21 +1,24 @@
 #include "util/jsonl.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <sstream>
 
 namespace dco3d::util {
 
 namespace {
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 struct Parser {
   std::string_view s;
+  int max_depth;  // 1 = flat: a nested container is an error
   std::size_t i = 0;
+  int depth = 0;
 
   bool eof() const { return i >= s.size(); }
   char peek() const { return s[i]; }
+  bool peek_digit() const { return !eof() && is_digit(s[i]); }
   void skip_ws() {
     while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
                       s[i] == '\r'))
@@ -65,8 +68,8 @@ struct Parser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return fail("bad \\u escape");
           }
-          // Protocol strings are ASCII in practice; encode BMP code points
-          // as UTF-8 so nothing is silently dropped.
+          // Encode the BMP code point as UTF-8 so nothing is silently
+          // dropped (surrogate halves are encoded individually).
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
@@ -85,10 +88,82 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  Status parse_number(double& out) {
+    const std::size_t start = i;
+    if (!eof() && s[i] == '-') ++i;
+    if (!peek_digit()) {
+      i = start;
+      return fail("expected value");
+    }
+    if (s[i++] != '0')
+      while (peek_digit()) ++i;
+    if (!eof() && s[i] == '.') {
+      ++i;
+      if (!peek_digit()) return fail("bad number");
+      while (peek_digit()) ++i;
+    }
+    if (!eof() && (s[i] == 'e' || s[i] == 'E')) {
+      ++i;
+      if (!eof() && (s[i] == '+' || s[i] == '-')) ++i;
+      if (!peek_digit()) return fail("bad number");
+      while (peek_digit()) ++i;
+    }
+    const auto r = std::from_chars(s.data() + start, s.data() + i, out);
+    if (r.ec != std::errc()) {
+      i = start;
+      return fail("number out of range");
+    }
+    return Status();
+  }
+
+  Status parse_members(JsonValue& v) {
+    v.kind = JsonValue::Kind::kObject;
+    if (consume('}')) return Status();
+    for (;;) {
+      std::string key;
+      Status st = parse_string(key);
+      if (!st.ok()) return st;
+      if (!consume(':')) return fail("expected ':'");
+      JsonValue member;
+      st = parse_value(member);
+      if (!st.ok()) return st;
+      v.obj[std::move(key)] = std::move(member);  // duplicate keys: last wins
+      if (consume(',')) continue;
+      if (consume('}')) return Status();
+      return fail("expected ',' or '}'");
+    }
+  }
+
+  Status parse_elements(JsonValue& v) {
+    v.kind = JsonValue::Kind::kArray;
+    if (consume(']')) return Status();
+    for (;;) {
+      v.arr.emplace_back();
+      const Status st = parse_value(v.arr.back());
+      if (!st.ok()) return st;
+      if (consume(',')) continue;
+      if (consume(']')) return Status();
+      return fail("expected ',' or ']'");
+    }
+  }
+
   Status parse_value(JsonValue& v) {
     skip_ws();
     if (eof()) return fail("expected value");
     const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth == max_depth)
+        return fail(max_depth == 1
+                        ? "nested containers are not part of the flat protocol"
+                        : "nesting deeper than " +
+                              std::to_string(kJsonMaxDepth) + " levels");
+      ++i;
+      ++depth;
+      const Status st = c == '{' ? parse_members(v) : parse_elements(v);
+      --depth;
+      return st;
+    }
     if (c == '"') {
       v.kind = JsonValue::Kind::kString;
       return parse_string(v.str);
@@ -107,44 +182,41 @@ struct Parser {
       v.kind = JsonValue::Kind::kNull;
       return Status();
     }
-    if (c == '{' || c == '[')
-      return fail("nested containers are not part of the flat protocol");
-    // Number.
-    const char* begin = s.data() + i;
-    char* end = nullptr;
-    const double num = std::strtod(begin, &end);
-    if (end == begin) return fail("expected value");
-    i += static_cast<std::size_t>(end - begin);
     v.kind = JsonValue::Kind::kNumber;
-    v.num = num;
+    return parse_number(v.num);
+  }
+
+  Status parse_document(JsonValue& v) {
+    const Status st = parse_value(v);
+    if (!st.ok()) return st;
+    skip_ws();
+    if (!eof()) return fail("trailing content");
     return Status();
   }
 };
 
 }  // namespace
 
+const JsonValue* JsonValue::find(const std::string& key) const {
+  if (kind != Kind::kObject) return nullptr;
+  const auto it = obj.find(key);
+  return it == obj.end() ? nullptr : &it->second;
+}
+
+Status parse_json(std::string_view text, JsonValue& out) {
+  out = JsonValue();
+  return Parser{text, kJsonMaxDepth}.parse_document(out);
+}
+
 Status parse_json_object(std::string_view text, JsonObject& out) {
   out.clear();
-  Parser p{text};
-  if (!p.consume('{')) return p.fail("expected '{'");
+  Parser p{text, /*max_depth=*/1};
   p.skip_ws();
-  if (p.consume('}')) return Status();
-  for (;;) {
-    std::string key;
-    Status st = p.parse_string(key);
-    if (!st.ok()) return st;
-    if (!p.consume(':')) return p.fail("expected ':'");
-    JsonValue v;
-    st = p.parse_value(v);
-    if (!st.ok()) return st;
-    out[key] = std::move(v);
-    if (p.consume(',')) continue;
-    if (p.consume('}')) break;
-    return p.fail("expected ',' or '}'");
-  }
-  p.skip_ws();
-  if (!p.eof()) return p.fail("trailing content");
-  return Status();
+  if (p.eof() || p.peek() != '{') return p.fail("expected '{'");
+  JsonValue v;
+  const Status st = p.parse_document(v);
+  if (st.ok()) out = std::move(v.obj);
+  return st;
 }
 
 std::string json_str(const JsonObject& o, const std::string& key,
@@ -212,13 +284,12 @@ JsonWriter& JsonWriter::field(std::string_view k, std::string_view v) {
 JsonWriter& JsonWriter::field(std::string_view k, double v) {
   key(k);
   if (!std::isfinite(v)) {
-    out_ += "0";  // JSON has no NaN/Inf literals (same rule as StageTrace)
+    out_ += '0';
     return *this;
   }
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  out_ += os.str();
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  out_.append(buf, static_cast<std::size_t>(n));
   return *this;
 }
 
@@ -243,6 +314,18 @@ JsonWriter& JsonWriter::field(std::string_view k, bool v) {
 JsonWriter& JsonWriter::raw(std::string_view k, std::string_view json) {
   key(k);
   out_ += json;
+  return *this;
+}
+
+JsonWriter& JsonWriter::array(std::string_view k,
+                              const std::vector<std::string>& items) {
+  key(k);
+  out_ += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i) out_ += ',';
+    out_ += items[i];
+  }
+  out_ += ']';
   return *this;
 }
 

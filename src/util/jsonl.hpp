@@ -1,32 +1,56 @@
 #pragma once
-// Tiny flat-JSON helpers for the serve protocol (line-delimited JSON, one
-// object per line): parse one-level objects with string / number / bool /
-// null values, and build such objects with correct escaping. Deliberately
-// not a general JSON library — requests and responses in the protocol are
-// flat by design (docs/serve.md); the only nesting the server ever emits is
-// raw pre-serialized sub-objects spliced in with JsonWriter::raw (the stage
-// trace entries, which already serialize themselves).
+// The repo's one JSON reader and writer: the serve protocol (line-delimited
+// JSON, one object per line), the stage and search traces, the trace
+// validator and the committed benchmark files all go through it.
+//
+// Reading: parse_json is a recursive-descent RFC 8259 parser — strict
+// numbers (no inf/nan/hex/leading '+'/bare '.'), \u escapes decoded to
+// UTF-8, and nesting capped at kJsonMaxDepth so hostile input off a socket
+// cannot overflow the stack. parse_json_object is the flat-protocol view of
+// it: serve requests and responses are flat objects (docs/serve.md).
+//
+// Writing: JsonWriter builds one object; nested values are spliced in as
+// pre-serialized JSON (raw, array). Doubles print with %.17g (round-trip
+// exact); non-finite doubles print as 0, since JSON has no NaN/Inf.
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/status.hpp"
 
 namespace dco3d::util {
 
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool, kNull } kind = Kind::kNull;
-  std::string str;   // kString
-  double num = 0.0;  // kNumber
-  bool b = false;    // kBool
-};
-
+struct JsonValue;
 using JsonObject = std::map<std::string, JsonValue>;
 
-/// Parse a flat JSON object (no nested objects/arrays). Returns
-/// kInvalidArgument on malformed input; `out` is cleared first.
+struct JsonValue {
+  enum class Kind { kString, kNumber, kBool, kNull, kArray, kObject };
+  Kind kind = Kind::kNull;
+  std::string str;              // kString
+  double num = 0.0;             // kNumber
+  bool b = false;               // kBool
+  std::vector<JsonValue> arr;   // kArray
+  JsonObject obj;               // kObject
+
+  bool is(Kind k) const { return kind == k; }
+  /// Member `key` of an object value; nullptr when absent or not an object.
+  const JsonValue* find(const std::string& key) const;
+};
+
+/// Deepest array/object nesting parse_json accepts (the top level is 1).
+inline constexpr int kJsonMaxDepth = 64;
+
+/// Parse one JSON value with optional surrounding whitespace. Returns
+/// kInvalidArgument ("json: <what> at offset N") on malformed input,
+/// numbers outside the double range, or nesting deeper than kJsonMaxDepth.
+Status parse_json(std::string_view text, JsonValue& out);
+
+/// Parse a flat JSON object: parse_json restricted to a top-level object
+/// whose members are all strings, numbers, bools or null. Any nested array
+/// or object is kInvalidArgument. `out` is cleared first.
 Status parse_json_object(std::string_view text, JsonObject& out);
 
 std::string json_str(const JsonObject& o, const std::string& key,
@@ -56,6 +80,10 @@ class JsonWriter {
   JsonWriter& field(std::string_view key, bool v);
   /// Splice a pre-serialized JSON value verbatim.
   JsonWriter& raw(std::string_view key, std::string_view json);
+  /// Splice an array of pre-serialized JSON values (e.g. JsonWriter::done()
+  /// results).
+  JsonWriter& array(std::string_view key,
+                    const std::vector<std::string>& items);
 
   /// Close and return the object. The writer is spent afterwards.
   std::string done() {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <vector>
 
 #include "flow/pin3d.hpp"
@@ -246,9 +248,7 @@ TEST(Pipeline, FinalRouteEqualsFreshRouteOfSignoffState) {
       const Netlist design = generate_design(spec_for(kind, 0.02));
       FlowConfig cfg = small_cfg();
       cfg.num_tiers = tiers;
-      const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed,
-                                             /*legalized=*/true, tiers);
-      cfg.router = calibrated_router(design, ref, cfg.grid_nx, 0.70);
+      cfg.router = calibrated_router(design, cfg);
 
       FlowContext ctx = make_flow_context(design, cfg);
       const FlowResult r = pin3d_pipeline().run(ctx);
@@ -353,6 +353,58 @@ TEST(Pipeline, TraceRecordsEveryStageInOrder) {
   };
   EXPECT_GT(metric(trace[2], "wirelength_um"), 0.0);
   EXPECT_GT(metric(trace[5], "wirelength_um"), 0.0);
+}
+
+// StageTraceEntry::to_json is a wire format (trace files, serve stage
+// events): these bytes were recorded from the emitter before it was moved
+// onto the shared JSON writer and must not drift. They cover escaping, the
+// %.17g doubles, non-finite metrics (serialized as 0), -0, and full-range
+// counters.
+TEST(StageTrace, ToJsonBytesArePinned) {
+  StageTraceEntry e;
+  e.design = "ldpc \"x\"\\\t\x01";
+  e.stage = "route";
+  e.index = 5;
+  e.wall_ms = 12.345678901234567;
+  e.threads = 3;
+  e.arena.requests = 10;
+  e.arena.pool_hits = 7;
+  e.arena.heap_allocs = 3;
+  e.arena.live_bytes = 4096;
+  e.arena.peak_bytes = 18446744073709551615ull;
+  e.pool.dispatches = 2;
+  e.pool.inline_runs = 1;
+  e.pool.chunks = 9;
+  e.metrics = {{"overflow", 115.0},
+               {"wns_ps", -3.25},
+               {"tiny", 1e-7},
+               {"big", 1.5e21},
+               {"third", 1.0 / 3.0},
+               {"nan", std::nan("")},
+               {"inf", std::numeric_limits<double>::infinity()},
+               {"neg_zero", -0.0}};
+  EXPECT_EQ(
+      e.to_json(),
+      R"({"schema":"dco3d-stage-trace-v1","design":"ldpc \"x\"\\\t\u0001",)"
+      R"("stage":"route","index":5,"cached":false,"wall_ms":12.345678901234567,)"
+      R"("threads":3,"arena":{"requests":10,"pool_hits":7,"heap_allocs":3,)"
+      R"("live_bytes":4096,"peak_bytes":18446744073709551615,"pooled_bytes":0},)"
+      R"("pool":{"dispatches":2,"inline_runs":1,"chunks":9},"metrics":{)"
+      R"("overflow":115,"wns_ps":-3.25,"tiny":9.9999999999999995e-08,)"
+      R"("big":1.5e+21,"third":0.33333333333333331,"nan":0,"inf":0,)"
+      R"("neg_zero":-0}})");
+
+  StageTraceEntry footer;  // no design, no metrics, cached
+  footer.stage = "cache-footer";
+  footer.index = 8;
+  footer.cached = true;
+  EXPECT_EQ(
+      footer.to_json(),
+      R"({"schema":"dco3d-stage-trace-v1","stage":"cache-footer","index":8,)"
+      R"("cached":true,"wall_ms":0,"threads":1,"arena":{"requests":0,)"
+      R"("pool_hits":0,"heap_allocs":0,"live_bytes":0,"peak_bytes":0,)"
+      R"("pooled_bytes":0},"pool":{"dispatches":0,"inline_runs":0,"chunks":0},)"
+      R"("metrics":{}})");
 }
 
 TEST(Pipeline, CacheKeyReactsToConfigAndDesign) {

@@ -252,11 +252,7 @@ TEST(Search, PromotedCandidateReplaysCheapStagesFromCache) {
   const Netlist design = testing::tiny_design(150);
   FlowConfig base;
   base.grid_nx = base.grid_ny = 8;
-  {
-    const Placement3D ref = place_pseudo3d(design, base.place_params,
-                                           base.seed, true, base.num_tiers);
-    base.router = calibrated_router(design, ref, base.grid_nx, 0.70);
-  }
+  base.router = calibrated_router(design, base);
   ArtifactCache cache(fresh_dir("dco3d_search_promote_cache"), 1ull << 30);
   FlowEvaluatorConfig ec;
   ec.cache = &cache;
@@ -301,11 +297,7 @@ TEST(Search, BatchedCheapSearchMatchesBaselineAtHalfTheFullEvals) {
   const Netlist design = testing::tiny_design(240, 5);
   FlowConfig base;
   base.grid_nx = base.grid_ny = 8;
-  {
-    const Placement3D ref = place_pseudo3d(design, base.place_params,
-                                           base.seed, true, base.num_tiers);
-    base.router = calibrated_router(design, ref, base.grid_nx, 0.70);
-  }
+  base.router = calibrated_router(design, base);
   FlowEvaluator eval("tiny", design, base);
 
   // Sequential baseline: the legacy BO loop, every evaluation a full flow.
@@ -337,6 +329,55 @@ TEST(Search, BatchedCheapSearchMatchesBaselineAtHalfTheFullEvals) {
       << "search used more than half the baseline's full flows";
   EXPECT_LE(res.best_objective, baseline.best_objective)
       << "search failed to match the sequential baseline's objective";
+}
+
+// The search trace lines are a wire format: these bytes were recorded from
+// the emitter before it was moved onto the shared JSON writer and must not
+// drift (a failed evaluation's infinite objective serializes as 0).
+TEST(Search, TraceLinesAreByteStable) {
+  SearchEvalRecord cheap;
+  cheap.round = 2;
+  cheap.candidate = 0;
+  cheap.fidelity = Fidelity::kCheap;
+  cheap.objective = 159.1147;
+  cheap.promoted = true;
+  cheap.stages_run = 3;
+  SearchEvalRecord failed;
+  failed.round = 2;
+  failed.candidate = 1;
+  failed.fidelity = Fidelity::kFull;
+  failed.stages_run = 5;
+  failed.stages_cached = 3;
+  SearchRoundRecord round;
+  round.round = 2;
+  round.candidates = 32;
+  round.cheap_evals = 1;
+  round.full_evals = 1;
+  round.promoted = 1;
+  round.round_best = 0.1;
+  round.best_objective = 2.5e-5;
+  round.cache_hits = 4;
+  round.cache_misses = 7;
+  round.wall_ms = 228.21370000001;
+  round.evals = {cheap, failed};
+
+  const std::vector<std::string> lines = search_trace_lines("DMA", round);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0],
+            R"({"schema":"dco3d-search-trace-v1","event":"eval","design":"DMA",)"
+            R"("round":2,"candidate":0,"fidelity":"cheap","objective":159.1147,)"
+            R"("usable":true,"promoted":true,"stages_run":3,"stages_cached":0})");
+  EXPECT_EQ(lines[1],
+            R"({"schema":"dco3d-search-trace-v1","event":"eval","design":"DMA",)"
+            R"("round":2,"candidate":1,"fidelity":"full","objective":0,)"
+            R"("usable":false,"promoted":false,"stages_run":5,"stages_cached":3})");
+  EXPECT_EQ(lines[2],
+            R"({"schema":"dco3d-search-trace-v1","event":"round","design":"DMA",)"
+            R"("round":2,"candidates":32,"cheap_evals":1,"full_evals":1,)"
+            R"("promoted":1,"round_best":0.10000000000000001,)"
+            R"("best_objective":2.5000000000000001e-05,"cache_hits":4,)"
+            R"("cache_misses":7,"wall_ms":228.21370000000999,"threads":)" +
+                std::to_string(util::num_threads()) + "}");
 }
 
 // ---------------------------------------------------------------------------
@@ -379,29 +420,45 @@ TEST_F(ServeSearchTest, SearchJobStreamsRoundsAndReportsObjective) {
   ASSERT_TRUE(util::send_line(conn.get(), req));
 
   util::LineReader reader(conn.get());
-  std::string line;
+  std::string line, job_id;
   int round_events = 0, eval_events = 0;
   util::JsonObject done;
   bool saw_done = false;
   while (reader.read_line(line)) {
-    // eval/round events carry a nested trace payload the flat parser
-    // deliberately rejects; count them by substring like the stage events.
-    if (line.find("\"event\":\"round\"") != std::string::npos) {
-      ++round_events;
+    util::JsonValue v;
+    ASSERT_TRUE(util::parse_json(line, v).ok()) << line;
+    const util::JsonObject& obj = v.obj;
+    const std::string event = util::json_str(obj, "event", "");
+    if (event == "eval" || event == "round") {
+      // The envelope names the job; the nested trace is one search-trace
+      // record of the same event kind.
+      EXPECT_EQ(util::json_str(obj, "job", ""), job_id) << line;
+      const util::JsonValue* trace = v.find("trace");
+      ASSERT_TRUE(trace && trace->is(util::JsonValue::Kind::kObject)) << line;
+      const util::JsonObject& t = trace->obj;
+      EXPECT_EQ(util::json_str(t, "schema", ""), kSearchTraceSchema);
+      EXPECT_EQ(util::json_str(t, "event", ""), event);
+      EXPECT_EQ(util::json_str(t, "design", ""), "DMA");
+      if (event == "round") {
+        EXPECT_EQ(util::json_num(t, "round", -1.0), round_events) << line;
+        EXPECT_GE(util::json_num(t, "wall_ms", -1.0), 0.0);
+        ++round_events;
+      } else {
+        const std::string fid = util::json_str(t, "fidelity", "");
+        EXPECT_TRUE(fid == "cheap" || fid == "full") << line;
+        EXPECT_EQ(util::json_num(t, "round", -1.0), round_events) << line;
+        EXPECT_TRUE(util::json_has(t, "usable"));
+        ++eval_events;
+      }
       continue;
     }
-    if (line.find("\"event\":\"eval\"") != std::string::npos) {
-      ++eval_events;
-      continue;
-    }
-    util::JsonObject obj;
-    ASSERT_TRUE(util::parse_json_object(line, obj).ok()) << line;
-    if (util::json_str(obj, "event", "") == "done") {
+    if (event == "done") {
       done = obj;
       saw_done = true;
       break;
     }
     ASSERT_TRUE(util::json_bool(obj, "ok", false)) << line;
+    job_id = util::json_str(obj, "job", "");  // the ack
   }
   ASSERT_TRUE(saw_done);
   EXPECT_EQ(round_events, 3);  // warm-up + 2 search rounds
@@ -454,21 +511,18 @@ TEST_F(ServeSearchTest, CancelMidRoundCommitsPartialBest) {
       ASSERT_FALSE(job_id.empty());
       continue;
     }
-    if (!cancelled_sent &&
-        line.find("\"event\":\"round\"") != std::string::npos) {
+    util::JsonValue v;
+    ASSERT_TRUE(util::parse_json(line, v).ok()) << line;
+    const std::string event = util::json_str(v.obj, "event", "");
+    if (!cancelled_sent && event == "round") {
       const util::JsonObject resp = rpc(
           server.port(), R"({"cmd":"cancel","job":")" + job_id + R"("})");
       EXPECT_TRUE(util::json_bool(resp, "ok", false));
       cancelled_sent = true;
       continue;
     }
-    if (line.find("\"event\":\"round\"") != std::string::npos ||
-        line.find("\"event\":\"eval\"") != std::string::npos)
-      continue;
-    util::JsonObject obj;
-    ASSERT_TRUE(util::parse_json_object(line, obj).ok()) << line;
-    if (util::json_str(obj, "event", "") == "done") {
-      done = obj;
+    if (event == "done") {
+      done = v.obj;
       saw_done = true;
       break;
     }

@@ -26,6 +26,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+const std::vector<std::string> kPipelineStages = {
+    "place3d", "dco",     "after-place-metrics", "cts",
+    "legalize", "route", "signoff",             "final-metrics"};
+
 std::string fresh_dir(const std::string& name) {
   const std::string dir = (fs::temp_directory_path() / name).string();
   fs::remove_all(dir);
@@ -258,7 +262,9 @@ class ServeTest : public ::testing::Test {
     return obj;
   }
 
-  /// Submit with wait:true and return the final "done" event object.
+  /// Submit with wait:true and return the final "done" event object. The
+  /// streamed stage events' trace objects land in `stages_`, checked for
+  /// the envelope (event, job id) and the trace schema on the way.
   util::JsonObject submit_wait(int port, const std::string& extra = "") {
     util::Fd conn = util::connect_local(port);
     std::string req =
@@ -267,19 +273,45 @@ class ServeTest : public ::testing::Test {
     req += "}";
     EXPECT_TRUE(util::send_line(conn.get(), req));
     util::LineReader reader(conn.get());
-    std::string line;
-    util::JsonObject obj;
+    std::string line, job;
+    stages_.clear();
     while (reader.read_line(line)) {
-      // Stage progress events carry a nested trace object the flat parser
-      // deliberately rejects; only the ack/shed/done lines are flat.
-      if (line.find("\"event\":\"stage\"") != std::string::npos) continue;
-      EXPECT_TRUE(util::parse_json_object(line, obj).ok()) << line;
+      util::JsonValue v;
+      EXPECT_TRUE(util::parse_json(line, v).ok()) << line;
+      const util::JsonObject& obj = v.obj;
+      if (util::json_str(obj, "event", "") == "stage") {
+        EXPECT_EQ(util::json_str(obj, "job", ""), job) << line;
+        const util::JsonValue* trace = v.find("trace");
+        EXPECT_TRUE(trace && trace->is(util::JsonValue::Kind::kObject))
+            << line;
+        if (!trace) continue;
+        EXPECT_EQ(util::json_str(trace->obj, "schema", ""), kStageTraceSchema);
+        EXPECT_GE(util::json_num(trace->obj, "wall_ms", -1.0), 0.0);
+        stages_.push_back(trace->obj);
+        continue;
+      }
       if (util::json_str(obj, "event", "") == "done") return obj;
       if (!util::json_bool(obj, "ok", true)) return obj;  // shed / error
+      job = util::json_str(obj, "job", "");  // the ack
     }
     ADD_FAILURE() << "connection closed before done event";
-    return obj;
+    return {};
   }
+
+  /// The stage names of the last submit_wait, in stream order, each checked
+  /// to carry its pipeline index and the expected cached flag.
+  std::vector<std::string> stage_names(bool cached) const {
+    std::vector<std::string> names;
+    for (const util::JsonObject& t : stages_) {
+      EXPECT_EQ(util::json_num(t, "index", -1.0),
+                static_cast<double>(names.size()));
+      EXPECT_EQ(util::json_bool(t, "cached", !cached), cached);
+      names.push_back(util::json_str(t, "stage", ""));
+    }
+    return names;
+  }
+
+  std::vector<util::JsonObject> stages_;
 
   ServerConfig small_cfg(const std::string& cache_name) {
     ServerConfig cfg;
@@ -311,6 +343,32 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsAreRejectedNotFatal) {
   EXPECT_FALSE(util::json_bool(bad, "ok", true));
   util::JsonObject unknown = rpc(server.port(), R"({"cmd":"frobnicate"})");
   EXPECT_FALSE(util::json_bool(unknown, "ok", true));
+  // Numbers a submit cannot hold: literals JSON does not have fail to
+  // parse, and values no cast to the knob's type can hold are rejected
+  // before admission. None of them may become a job.
+  for (const char* req : {
+           R"({"cmd":"submit","kind":"dma","scale":inf})",
+           R"({"cmd":"submit","kind":"dma","scale":-nan})",
+           R"({"cmd":"submit","kind":"dma","scale":1e400})",
+           R"({"cmd":"submit","kind":"dma","clock_ps":-infinity})",
+           R"({"cmd":"submit","kind":"dma","grid":1e300})",
+           R"({"cmd":"submit","kind":"dma","grid":0x10})",
+           R"({"cmd":"submit","kind":"dma","tiers":-3e9})",
+           R"({"cmd":"submit","kind":"dma","priority":2147483648})",
+           R"({"cmd":"submit","kind":"dma","seed":-1})",
+           R"({"cmd":"submit","kind":"dma","seed":+1})",
+           R"({"cmd":"submit","kind":"dma","seed":1.9e19})",
+           R"({"cmd":"submit","kind":"dma","rounds":1e10})",
+           R"({"cmd":"submit","kind":"dma","batch":-2147483649})",
+           R"({"cmd":"submit","kind":"dma","init":3e9})",
+           R"({"cmd":"submit","kind":"dma","candidates":1e19})",
+           R"({"cmd":"submit","kind":"dma","search_seed":-5})",
+       }) {
+    const util::JsonObject resp = rpc(server.port(), req);
+    EXPECT_FALSE(util::json_bool(resp, "ok", true)) << req;
+    EXPECT_EQ(util::json_str(resp, "status", ""), "invalid_argument") << req;
+  }
+  EXPECT_EQ(server.counters().submitted, 0u);
   // The server is still fine afterwards.
   EXPECT_TRUE(util::json_bool(rpc(server.port(), R"({"cmd":"ping"})"), "ok",
                               false));
@@ -325,6 +383,9 @@ TEST_F(ServeTest, SubmitWaitRunsJobToCompletion) {
   EXPECT_EQ(util::json_str(done, "state", ""), "done");
   EXPECT_EQ(util::json_num(done, "stages_run", 0), 8.0);
   EXPECT_FALSE(util::json_str(done, "key", "").empty());
+  EXPECT_EQ(stage_names(/*cached=*/false), kPipelineStages);
+  // The nested per-stage metrics object: route publishes the tier count.
+  EXPECT_EQ(util::json_num(stages_.at(5).at("metrics").obj, "tiers", 0.0), 2.0);
   const ServerCounters c = server.counters();
   EXPECT_EQ(c.completed, 1u);
   server.request_drain();
@@ -345,6 +406,7 @@ TEST_F(ServeTest, IdempotentResubmitSkipsToCachedStages) {
             util::json_str(first, "key", "b"));
   EXPECT_EQ(util::json_num(second, "stages_run", -1), 0.0);
   EXPECT_EQ(util::json_num(second, "stages_cached", -1), 8.0);
+  EXPECT_EQ(stage_names(/*cached=*/true), kPipelineStages);
   EXPECT_GE(server.cache()->stats().loads, 1u);
   server.request_drain();
   server.wait();

@@ -1,9 +1,13 @@
 // Unit tests for util/: deterministic RNG, statistics (NRMSE, SSIM,
-// histogram, correlation), and geometry primitives.
+// histogram, correlation), geometry primitives, and the JSON reader/writer.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "util/geometry.hpp"
+#include "util/jsonl.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -180,6 +184,174 @@ TEST(Geometry, BBoxAccumulates) {
 TEST(Geometry, ManhattanAndEuclidean) {
   EXPECT_DOUBLE_EQ(manhattan({0, 0}, {3, 4}), 7.0);
   EXPECT_DOUBLE_EQ(euclidean({0, 0}, {3, 4}), 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// JSON: the parser's conformance is pinned on literal text only (never on
+// JsonWriter output), so the trace validator and the serve protocol keep an
+// independent check that what the emitters write is JSON.
+
+using util::JsonObject;
+using util::JsonValue;
+using Kind = util::JsonValue::Kind;
+
+JsonValue parse_ok(const std::string& text) {
+  JsonValue v;
+  const Status st = util::parse_json(text, v);
+  EXPECT_TRUE(st.ok()) << text << ": " << st.message();
+  return v;
+}
+
+bool parses(const std::string& text) {
+  JsonValue v;
+  const Status st = util::parse_json(text, v);
+  if (!st.ok()) EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << text;
+  return st.ok();
+}
+
+TEST(Json, ParsesScalarsArraysAndObjects) {
+  const JsonValue v = parse_ok(
+      R"( {"s":"x","n":-12.5e1,"t":true,"f":false,"z":null,)"
+      R"( "a":[1,[],{}, "y"],"o":{"k":{"deep":[0]}}} )");
+  ASSERT_TRUE(v.is(Kind::kObject));
+  EXPECT_EQ(v.find("s")->str, "x");
+  EXPECT_EQ(v.find("n")->num, -125.0);
+  EXPECT_TRUE(v.find("t")->b);
+  EXPECT_TRUE(v.find("f")->is(Kind::kBool));
+  EXPECT_FALSE(v.find("f")->b);
+  EXPECT_TRUE(v.find("z")->is(Kind::kNull));
+  const JsonValue* a = v.find("a");
+  ASSERT_TRUE(a && a->is(Kind::kArray));
+  ASSERT_EQ(a->arr.size(), 4u);
+  EXPECT_EQ(a->arr[0].num, 1.0);
+  EXPECT_TRUE(a->arr[1].is(Kind::kArray) && a->arr[1].arr.empty());
+  EXPECT_TRUE(a->arr[2].is(Kind::kObject) && a->arr[2].obj.empty());
+  EXPECT_EQ(a->arr[3].str, "y");
+  const JsonValue* deep = v.find("o")->find("k")->find("deep");
+  ASSERT_TRUE(deep && deep->is(Kind::kArray));
+  EXPECT_EQ(deep->arr.at(0).num, 0.0);
+  EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_EQ(a->find("s"), nullptr) << "find on a non-object";
+  EXPECT_TRUE(parse_ok("7").is(Kind::kNumber));
+  EXPECT_EQ(parse_ok(R"("top")").str, "top");
+  // Duplicate keys: the last one wins.
+  EXPECT_EQ(parse_ok(R"({"k":1,"k":2})").find("k")->num, 2.0);
+}
+
+TEST(Json, DecodesEscapesAndUnicodeToUtf8) {
+  const JsonValue v = parse_ok(
+      R"("q\" b\\ s\/ \b\f\n\r\t \u0041\u00e9\u20AC\u0001 raw é")");
+  EXPECT_EQ(v.str, std::string("q\" b\\ s/ \b\f\n\r\t "
+                               "A\xc3\xa9\xe2\x82\xac\x01 raw \xc3\xa9"));
+  EXPECT_FALSE(parses(R"("\x")"));
+  EXPECT_FALSE(parses(R"("\u12")"));
+  EXPECT_FALSE(parses(R"("\u12g4")"));
+  EXPECT_FALSE(parses(R"("open)"));
+  EXPECT_FALSE(parses("\"trailing backslash\\"));
+}
+
+TEST(Json, NumbersFollowRfc8259) {
+  EXPECT_EQ(parse_ok("0").num, 0.0);
+  EXPECT_TRUE(std::signbit(parse_ok("-0").num));
+  EXPECT_EQ(parse_ok("-1.5").num, -1.5);
+  EXPECT_EQ(parse_ok("12e3").num, 12000.0);
+  EXPECT_EQ(parse_ok("1E+2").num, 100.0);
+  EXPECT_EQ(parse_ok("2.5e-3").num, 2.5e-3);
+  EXPECT_EQ(parse_ok("0.30000000000000004").num, 0.1 + 0.2);
+  EXPECT_EQ(parse_ok("18446744073709551615").num, 18446744073709551615.0);
+  EXPECT_GT(parse_ok("4.9e-324").num, 0.0);  // smallest denormal
+  for (const char* bad :
+       {"inf", "-infinity", "-nan", "nan", "NaN", "0x10", "+1", "01", "-01",
+        "1.", ".5", "-", "1e", "1e+", "1.e3", "--1", "1e400", "-1e400",
+        "1e-400", "Infinity"})
+    EXPECT_FALSE(parses(bad)) << bad;
+  JsonObject o;
+  EXPECT_FALSE(util::parse_json_object(R"({"scale":inf})", o).ok());
+  EXPECT_FALSE(util::parse_json_object(R"({"scale":-nan})", o).ok());
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parses(nested(util::kJsonMaxDepth)));
+  EXPECT_FALSE(parses(nested(util::kJsonMaxDepth + 1)));
+  // A hostile unterminated line is refused at the cap, not by the stack.
+  const std::string hostile(1u << 20, '[');
+  JsonValue v;
+  const Status st = util::parse_json(hostile, v);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("nesting deeper than"), std::string::npos)
+      << st.message();
+  std::string objects;
+  for (int i = 0; i <= util::kJsonMaxDepth; ++i) objects += R"({"k":)";
+  objects += "1" + std::string(util::kJsonMaxDepth + 1, '}');
+  EXPECT_FALSE(parses(objects));
+}
+
+TEST(Json, RejectsMalformedStructureAndTrailingContent) {
+  for (const char* bad :
+       {"", "   ", "{", "}", "[1,]", "[1 2]", R"({"a":1,})", R"({"a" 1})",
+        R"({a:1})", R"({"a":})", "tru", "nul", "{} x", "[] []", "1 2",
+        R"({"a":1}})", "[", "]"})
+    EXPECT_FALSE(parses(bad)) << "'" << bad << "'";
+  EXPECT_TRUE(parses(" \t\r\n{ \"a\" : [ 1 , 2 ] }\n"));
+  JsonValue v;
+  const Status st = util::parse_json("{} x", v);
+  EXPECT_EQ(st.message(), "json: trailing content at offset 3");
+}
+
+TEST(Json, FlatObjectRejectsAnyNestedValue) {
+  JsonObject o;
+  ASSERT_TRUE(util::parse_json_object(
+                  R"({"s":"v","n":2,"b":true,"z":null})", o)
+                  .ok());
+  EXPECT_EQ(util::json_str(o, "s"), "v");
+  EXPECT_EQ(util::json_num(o, "n"), 2.0);
+  EXPECT_TRUE(util::json_bool(o, "b"));
+  EXPECT_TRUE(util::json_has(o, "z"));
+  EXPECT_EQ(util::json_str(o, "n", "dflt"), "dflt") << "wrong kind -> default";
+  ASSERT_TRUE(util::parse_json_object(" {} ", o).ok());
+  EXPECT_TRUE(o.empty());
+
+  for (const char* bad : {R"({"a":{"b":1}})", R"({"a":[1]})", R"({"a":[]})",
+                          "[1]", "\"s\"", "3", "this is not json"}) {
+    o["stale"] = {};
+    const Status st = util::parse_json_object(bad, o);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(o.empty()) << bad;
+  }
+  const Status nested = util::parse_json_object(R"({"cmd":"x","t":{}})", o);
+  EXPECT_EQ(nested.message(),
+            "json: nested containers are not part of the flat protocol at "
+            "offset 15");
+  const Status not_object = util::parse_json_object("  [1]", o);
+  EXPECT_EQ(not_object.message(), "json: expected '{' at offset 2");
+}
+
+TEST(Json, WriterEscapesAndComposesNestedValues) {
+  std::string s;
+  util::json_escape_into(s, "a\"b\\c\nd\te\rf\x01");
+  EXPECT_EQ(s, R"("a\"b\\c\nd\te\rf\u0001")");
+
+  const std::string inner = util::JsonWriter().field("x", 1).done();
+  const std::string out =
+      util::JsonWriter()
+          .field("s", "v")
+          .field("d", 0.1)
+          .field("nan", std::nan(""))
+          .field("u", std::uint64_t{18446744073709551615ull})
+          .field("i", std::int64_t{-7})
+          .field("b", false)
+          .array("rows", {inner, util::JsonWriter().done(), "[2]"})
+          .array("none", {})
+          .raw("obj", inner)
+          .done();
+  EXPECT_EQ(out,
+            R"({"s":"v","d":0.10000000000000001,"nan":0,)"
+            R"("u":18446744073709551615,"i":-7,"b":false,)"
+            R"("rows":[{"x":1},{},[2]],"none":[],"obj":{"x":1}})");
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -65,6 +66,7 @@
 #include "place/placer3d.hpp"
 #include "route/router.hpp"
 #include "timing/sta.hpp"
+#include "util/jsonl.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -110,15 +112,42 @@ struct Entry {
 /// Shared JSON header: design/workload identity plus the measurement context
 /// (SIMD backend actually dispatched, best ISA the host supports, git
 /// revision, actual worker-pool size).
-void write_context(std::FILE* f, const char* schema, const std::string& design,
-                   std::size_t cells, std::size_t nets, double scale) {
-  std::fprintf(f,
-               "{\"schema\":\"%s\",\"design\":\"%s\",\"cells\":%zu,"
-               "\"nets\":%zu,\"scale\":%g,\"simd\":\"%s\",\"host_isa\":\"%s\","
-               "\"git\":\"%s\",\"threads\":%d",
-               schema, design.c_str(), cells, nets, scale,
-               nn::simd::backend_name(), nn::simd::host_isa(),
-               DCO3D_GIT_DESCRIBE, util::num_threads());
+util::JsonWriter context(const char* schema, const std::string& design,
+                         std::size_t cells, std::size_t nets, double scale) {
+  util::JsonWriter w;
+  w.field("schema", schema)
+      .field("design", design)
+      .field("cells", std::uint64_t{cells})
+      .field("nets", std::uint64_t{nets})
+      .field("scale", scale)
+      .field("simd", nn::simd::backend_name())
+      .field("host_isa", nn::simd::host_isa())
+      .field("git", DCO3D_GIT_DESCRIBE)
+      .field("threads", util::num_threads());
+  return w;
+}
+
+/// One {"name","p50_ms"} row per entry.
+std::vector<std::string> entry_rows(const std::vector<Entry>& entries) {
+  std::vector<std::string> rows;
+  for (const Entry& e : entries)
+    rows.push_back(util::JsonWriter()
+                       .field("name", e.name)
+                       .field("p50_ms", e.p50_ms)
+                       .done());
+  return rows;
+}
+
+/// Write one JSON document plus a newline to `path`.
+int write_report(const std::string& path, const std::string& json) {
+  std::ofstream os(path);
+  os << json << '\n';
+  if (!os) {
+    std::fprintf(stderr, "bench_report: cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
 }
 
 /// Per-cell position/tier leaves for the differentiable kernels. K = 2 uses
@@ -249,7 +278,8 @@ KernelSuite measure_kernels(double scale, int reps) {
   add("global_route_k2", [&] { global_route(design, pl2, grid); });
   add("global_route_k3", [&] { global_route(design, pl3, grid3); });
   // Capacity calibrated tight, so rip-up-and-reroute's maze search runs.
-  const RouterConfig tight = calibrate_capacity(design, pl2, grid, {}, 0.70);
+  const RouterConfig tight =
+      calibrate_capacity(design, pl2, grid, {}, kCalibrationPctile);
   add("global_route_rrr_k2", [&] { global_route(design, pl2, grid, tight); });
   add("sta", [&] { run_sta(design, pl2, tcfg); });
   add("fm_partition_k2", [&] {
@@ -269,29 +299,18 @@ int run_kernels(int argc, char** argv) {
   const int reps = static_cast<int>(arg_num(argc, argv, "--reps", 5));
 
   const KernelSuite suite = measure_kernels(scale, reps);
-
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_report: cannot open %s\n", out.c_str());
-    return 1;
-  }
-  write_context(f, "dco3d-bench-kernels-v2", suite.design, suite.cells,
-                suite.nets, scale);
-  std::fprintf(f, ",\"reps\":%d,\"kernels\":[", reps);
-  for (std::size_t i = 0; i < suite.entries.size(); ++i)
-    std::fprintf(f, "%s{\"name\":\"%s\",\"p50_ms\":%.4f}", i ? "," : "",
-                 suite.entries[i].name.c_str(), suite.entries[i].p50_ms);
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu kernels)\n", out.c_str(), suite.entries.size());
-  return 0;
+  return write_report(out, context("dco3d-bench-kernels-v2", suite.design,
+                                   suite.cells, suite.nets, scale)
+                               .field("reps", reps)
+                               .array("kernels", entry_rows(suite.entries))
+                               .done());
 }
 
 struct FlowSuite {
   std::string design;
   std::size_t cells = 0, nets = 0;
-  std::vector<Entry> totals;  // name = "tiers2"/"tiers3"
-  std::string runs_json;      // pre-rendered "runs" array body
+  std::vector<Entry> totals;      // name = "flow_tiers2"/"flow_tiers3"
+  std::vector<std::string> runs;  // one pre-rendered object per tier count
 };
 
 FlowSuite measure_flow(double scale, int grid_n) {
@@ -302,18 +321,12 @@ FlowSuite measure_flow(double scale, int grid_n) {
   suite.cells = design.num_cells();
   suite.nets = design.num_nets();
 
-  const int tier_counts[] = {2, 3};
-  for (std::size_t ti = 0; ti < 2; ++ti) {
-    const int tiers = tier_counts[ti];
+  for (const int tiers : {2, 3}) {
     FlowConfig cfg;
     cfg.grid_nx = cfg.grid_ny = grid_n;
     cfg.num_tiers = tiers;
     cfg.timing.clock_period_ps = spec.clock_period_ps;
-    {
-      const Placement3D ref =
-          place_pseudo3d(design, cfg.place_params, cfg.seed, true, tiers);
-      cfg.router = calibrated_router(design, ref, grid_n, 0.70);
-    }
+    cfg.router = calibrated_router(design, cfg);
     FlowContext ctx = make_flow_context(design, cfg);
     ctx.design_name = spec.name;
     std::vector<StageTraceEntry> trace;
@@ -328,20 +341,19 @@ FlowSuite measure_flow(double scale, int grid_n) {
                 tiers, total_ms, r.signoff.overflow, r.signoff.wirelength_um);
     suite.totals.push_back({"flow_tiers" + std::to_string(tiers), total_ms});
 
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"tiers\":%d,\"total_ms\":%.3f,"
-                  "\"signoff_overflow\":%.4f,\"signoff_wl_um\":%.4f,"
-                  "\"stages\":[",
-                  ti ? "," : "", tiers, total_ms, r.signoff.overflow,
-                  r.signoff.wirelength_um);
-    suite.runs_json += buf;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s{\"stage\":\"%s\",\"wall_ms\":%.3f}",
-                    i ? "," : "", trace[i].stage.c_str(), trace[i].wall_ms);
-      suite.runs_json += buf;
-    }
-    suite.runs_json += "]}";
+    std::vector<std::string> stages;
+    for (const StageTraceEntry& e : trace)
+      stages.push_back(util::JsonWriter()
+                           .field("stage", e.stage)
+                           .field("wall_ms", e.wall_ms)
+                           .done());
+    suite.runs.push_back(util::JsonWriter()
+                             .field("tiers", tiers)
+                             .field("total_ms", total_ms)
+                             .field("signoff_overflow", r.signoff.overflow)
+                             .field("signoff_wl_um", r.signoff.wirelength_um)
+                             .array("stages", stages)
+                             .done());
   }
   return suite;
 }
@@ -352,19 +364,11 @@ int run_flow(int argc, char** argv) {
   const int grid_n = static_cast<int>(arg_num(argc, argv, "--grid", 16));
 
   const FlowSuite suite = measure_flow(scale, grid_n);
-
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_report: cannot open %s\n", out.c_str());
-    return 1;
-  }
-  write_context(f, "dco3d-bench-flow-v2", suite.design, suite.cells,
-                suite.nets, scale);
-  std::fprintf(f, ",\"grid\":%d,\"runs\":[%s]}\n", grid_n,
-               suite.runs_json.c_str());
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return write_report(out, context("dco3d-bench-flow-v2", suite.design,
+                                   suite.cells, suite.nets, scale)
+                               .field("grid", grid_n)
+                               .array("runs", suite.runs)
+                               .done());
 }
 
 // --- search mode ------------------------------------------------------------
@@ -390,11 +394,7 @@ SearchSuite measure_search(double scale, int grid_n) {
 
   FlowConfig base;
   base.grid_nx = base.grid_ny = grid_n;
-  {
-    const Placement3D ref =
-        place_pseudo3d(design, base.place_params, base.seed, true, base.num_tiers);
-    base.router = calibrated_router(design, ref, grid_n, 0.70);
-  }
+  base.router = calibrated_router(design, base);
 
   const std::string cache_dir = "bench_search_cache";
   std::filesystem::remove_all(cache_dir);
@@ -451,28 +451,17 @@ int run_search(int argc, char** argv) {
   const int grid_n = static_cast<int>(arg_num(argc, argv, "--grid", 16));
 
   const SearchSuite suite = measure_search(scale, grid_n);
-
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_report: cannot open %s\n", out.c_str());
-    return 1;
-  }
-  write_context(f, "dco3d-bench-search-v2", suite.design, suite.cells,
-                suite.nets, scale);
-  std::fprintf(f,
-               ",\"grid\":%d,\"rounds\":%d,\"rounds_per_sec\":%.4f,"
-               "\"cache_hit_rate\":%.4f,\"cheap_evals\":%d,\"full_evals\":%d,"
-               "\"best_objective\":%.4f,\"kernels\":[",
-               grid_n, suite.rounds, suite.rounds_per_sec,
-               suite.cache_hit_rate, suite.cheap_evals, suite.full_evals,
-               suite.best_objective);
-  for (std::size_t i = 0; i < suite.totals.size(); ++i)
-    std::fprintf(f, "%s{\"name\":\"%s\",\"p50_ms\":%.4f}", i ? "," : "",
-                 suite.totals[i].name.c_str(), suite.totals[i].p50_ms);
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return write_report(out, context("dco3d-bench-search-v2", suite.design,
+                                   suite.cells, suite.nets, scale)
+                               .field("grid", grid_n)
+                               .field("rounds", suite.rounds)
+                               .field("rounds_per_sec", suite.rounds_per_sec)
+                               .field("cache_hit_rate", suite.cache_hit_rate)
+                               .field("cheap_evals", suite.cheap_evals)
+                               .field("full_evals", suite.full_evals)
+                               .field("best_objective", suite.best_objective)
+                               .array("kernels", entry_rows(suite.totals))
+                               .done());
 }
 
 // --- ingest mode ------------------------------------------------------------
@@ -481,7 +470,7 @@ struct IngestSuite {
   std::string design;
   std::size_t cells = 0, nets = 0;  // at the largest multiplier
   std::vector<Entry> entries;       // ingest_{parse,flow}_{1,4,10}x
-  std::string scales_json;
+  std::vector<std::string> scales;  // one {"mult","cells","nets"} per scale
 };
 
 /// Open-format ingestion cost at paper scale: each multiplier of the default
@@ -491,9 +480,7 @@ struct IngestSuite {
 /// like the flow suite — ingestion is dominated by a single cold pass.
 IngestSuite measure_ingest(double base_scale, int grid_n) {
   IngestSuite suite;
-  const int mults[] = {1, 4, 10};
-  for (std::size_t mi = 0; mi < 3; ++mi) {
-    const int mult = mults[mi];
+  for (const int mult : {1, 4, 10}) {
     DesignSpec spec = spec_for(DesignKind::kDma, base_scale * mult);
     const Netlist generated = generate_design(spec);
     std::stringstream verilog;
@@ -520,11 +507,12 @@ IngestSuite measure_ingest(double base_scale, int grid_n) {
     suite.nets = imported.num_nets();
     suite.entries.push_back({"ingest_parse_" + tag, parse_ms});
     suite.entries.push_back({"ingest_flow_" + tag, flow_ms});
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s{\"mult\":%d,\"cells\":%zu,\"nets\":%zu}",
-                  mi ? "," : "", mult, imported.num_cells(),
-                  imported.num_nets());
-    suite.scales_json += buf;
+    suite.scales.push_back(
+        util::JsonWriter()
+            .field("mult", mult)
+            .field("cells", std::uint64_t{imported.num_cells()})
+            .field("nets", std::uint64_t{imported.num_nets()})
+            .done());
     std::printf("ingest %dx: %zu cells, parse %.1f ms, flow %.1f ms "
                 "(signoff WL %.1f um)\n",
                 mult, imported.num_cells(), parse_ms, flow_ms,
@@ -539,23 +527,12 @@ int run_ingest(int argc, char** argv) {
   const int grid_n = static_cast<int>(arg_num(argc, argv, "--grid", 8));
 
   const IngestSuite suite = measure_ingest(scale, grid_n);
-
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_report: cannot open %s\n", out.c_str());
-    return 1;
-  }
-  write_context(f, "dco3d-bench-ingest-v1", suite.design, suite.cells,
-                suite.nets, scale);
-  std::fprintf(f, ",\"grid\":%d,\"scales\":[%s],\"kernels\":[", grid_n,
-               suite.scales_json.c_str());
-  for (std::size_t i = 0; i < suite.entries.size(); ++i)
-    std::fprintf(f, "%s{\"name\":\"%s\",\"p50_ms\":%.4f}", i ? "," : "",
-                 suite.entries[i].name.c_str(), suite.entries[i].p50_ms);
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  return write_report(out, context("dco3d-bench-ingest-v1", suite.design,
+                                   suite.cells, suite.nets, scale)
+                               .field("grid", grid_n)
+                               .array("scales", suite.scales)
+                               .array("kernels", entry_rows(suite.entries))
+                               .done());
 }
 
 // --- compare mode -----------------------------------------------------------
@@ -571,43 +548,48 @@ std::string read_file(const std::string& path) {
   return text;
 }
 
-/// Scan `"<skey>":"NAME"` ... `"<vkey>":NUM` pairs from flat benchmark JSON
-/// (the committed files are single-line flat objects; a full parser is not
-/// needed and util/jsonl only handles flat objects anyway).
-std::vector<Entry> scan_entries(const std::string& text, const char* skey,
-                                const char* vkey) {
-  std::vector<Entry> out;
-  const std::string sk = std::string{"\""} + skey + "\":";
-  const std::string vk = std::string{"\""} + vkey + "\":";
-  std::size_t pos = 0;
-  while ((pos = text.find(sk, pos)) != std::string::npos) {
-    pos += sk.size();
-    std::string name;
-    if (pos < text.size() && text[pos] == '"') {
-      const std::size_t endq = text.find('"', pos + 1);
-      if (endq == std::string::npos) break;
-      name = text.substr(pos + 1, endq - pos - 1);
-      pos = endq + 1;
-    } else {  // numeric key (flow "tiers":N)
-      name = text.substr(pos, text.find_first_of(",}", pos) - pos);
-    }
-    const std::size_t vpos = text.find(vk, pos);
-    if (vpos == std::string::npos) break;
-    out.push_back({name, std::atof(text.c_str() + vpos + vk.size())});
-    pos = vpos + vk.size();
-  }
-  return out;
-}
+/// Where a baseline schema keeps its committed rows: the `array` member's
+/// elements, each named by `name_key` (a string, or the flow suite's tier
+/// count) with its timing under `value_key`.
+struct BaselineLayout {
+  const char* schema;
+  const char* array;
+  const char* name_key;
+  const char* value_key;
+};
+constexpr BaselineLayout kBaselineLayouts[] = {
+    {"dco3d-bench-kernels-v2", "kernels", "name", "p50_ms"},
+    {"dco3d-bench-flow-v2", "runs", "tiers", "total_ms"},
+    {"dco3d-bench-search-v2", "kernels", "name", "p50_ms"},
+    {"dco3d-bench-ingest-v1", "kernels", "name", "p50_ms"},
+};
 
-std::string scan_string(const std::string& text, const char* key) {
-  const std::string k = std::string{"\""} + key + "\":\"";
-  const std::size_t pos = text.find(k);
-  if (pos == std::string::npos) return {};
-  const std::size_t start = pos + k.size();
-  return text.substr(start, text.find('"', start) - start);
+/// Read the committed rows into `rows`; returns why the baseline is
+/// unusable, or "" when every row is well-formed and there is at least one.
+std::string baseline_rows(const util::JsonValue& base,
+                          const BaselineLayout& layout,
+                          std::vector<Entry>& rows) {
+  using Kind = util::JsonValue::Kind;
+  const util::JsonValue* arr = base.find(layout.array);
+  if (!arr || !arr->is(Kind::kArray) || arr->arr.empty())
+    return std::string("no '") + layout.array + "' entries";
+  for (const util::JsonValue& e : arr->arr) {
+    const util::JsonValue* name = e.find(layout.name_key);
+    const util::JsonValue* value = e.find(layout.value_key);
+    if (!name || !(name->is(Kind::kString) || name->is(Kind::kNumber)) ||
+        !value || !value->is(Kind::kNumber))
+      return "entry " + std::to_string(rows.size()) + " lacks '" +
+             layout.name_key + "'/'" + layout.value_key + "'";
+    rows.push_back({name->is(Kind::kString)
+                        ? name->str
+                        : std::to_string(static_cast<long long>(name->num)),
+                    value->num});
+  }
+  return "";
 }
 
 int run_compare(int argc, char** argv) {
+  using Kind = util::JsonValue::Kind;
   const char* baseline_path = arg_str(argc, argv, "--baseline", nullptr);
   if (!baseline_path) {
     std::fprintf(stderr, "bench_report compare: --baseline FILE required\n");
@@ -618,48 +600,71 @@ int run_compare(int argc, char** argv) {
   const int reps = static_cast<int>(arg_num(argc, argv, "--reps", 5));
   const int grid_n = static_cast<int>(arg_num(argc, argv, "--grid", 16));
 
-  const std::string base = read_file(baseline_path);
-  if (base.empty()) {
+  const std::string text = read_file(baseline_path);
+  if (text.empty()) {
     std::fprintf(stderr, "bench_report compare: cannot read %s\n",
                  baseline_path);
     return 2;
   }
-  // Measure at the pool size the baseline was recorded with: at another
-  // size the µs-scale rows time pool dispatch, not the kernel.
-  const std::size_t tpos = base.find("\"threads\":");
-  if (tpos != std::string::npos) {
-    const int base_threads =
-        std::atoi(base.c_str() + tpos + std::strlen("\"threads\":"));
-    if (base_threads > 0) util::set_num_threads(base_threads);
+  // Refuse an unusable baseline before measuring anything: a file whose
+  // rows are missing would otherwise compare zero rows and pass.
+  util::JsonValue base;
+  const Status parsed = util::parse_json(text, base);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bench_report compare: %s: %s\n", baseline_path,
+                 parsed.message().c_str());
+    return 2;
   }
-  const std::string schema = scan_string(base, "schema");
-  std::vector<Entry> committed, fresh;
-  if (schema == "dco3d-bench-kernels-v2") {
-    committed = scan_entries(base, "name", "p50_ms");
-    fresh = measure_kernels(scale, reps).entries;
-  } else if (schema == "dco3d-bench-flow-v2") {
-    committed = scan_entries(base, "tiers", "total_ms");
-    const FlowSuite s = measure_flow(scale, grid_n);
-    for (const Entry& e : s.totals)
-      fresh.push_back({e.name.substr(std::strlen("flow_tiers")), e.p50_ms});
-  } else if (schema == "dco3d-bench-search-v2") {
-    committed = scan_entries(base, "name", "p50_ms");
-    fresh = measure_search(scale, grid_n).totals;
-  } else if (schema == "dco3d-bench-ingest-v1") {
-    committed = scan_entries(base, "name", "p50_ms");
-    fresh = measure_ingest(scale, grid_n).entries;
-  } else {
+  const util::JsonValue* schema = base.find("schema");
+  const util::JsonValue* threads = base.find("threads");
+  if (!schema || !schema->is(Kind::kString) || !threads ||
+      !threads->is(Kind::kNumber) || !(threads->num >= 1.0) ||
+      threads->num > 1024.0) {
+    std::fprintf(stderr,
+                 "bench_report compare: %s lacks a 'schema' string or a "
+                 "'threads' count in [1, 1024]\n",
+                 baseline_path);
+    return 2;
+  }
+  const BaselineLayout* layout = nullptr;
+  for (const BaselineLayout& l : kBaselineLayouts)
+    if (schema->str == l.schema) layout = &l;
+  if (!layout) {
     std::fprintf(stderr,
                  "bench_report compare: unsupported schema '%s' in %s "
                  "(regenerate with this binary)\n",
-                 schema.c_str(), baseline_path);
+                 schema->str.c_str(), baseline_path);
     return 2;
   }
-  const std::string base_simd = scan_string(base, "simd");
-  if (!base_simd.empty() && base_simd != nn::simd::backend_name())
+  std::vector<Entry> committed;
+  if (const std::string err = baseline_rows(base, *layout, committed);
+      !err.empty()) {
+    std::fprintf(stderr, "bench_report compare: malformed baseline %s: %s\n",
+                 baseline_path, err.c_str());
+    return 2;
+  }
+
+  // Measure at the pool size the baseline was recorded with: at another
+  // size the µs-scale rows time pool dispatch, not the kernel.
+  util::set_num_threads(static_cast<int>(threads->num));
+  std::vector<Entry> fresh;
+  if (schema->str == "dco3d-bench-kernels-v2") {
+    fresh = measure_kernels(scale, reps).entries;
+  } else if (schema->str == "dco3d-bench-flow-v2") {
+    const FlowSuite s = measure_flow(scale, grid_n);
+    for (const Entry& e : s.totals)
+      fresh.push_back({e.name.substr(std::strlen("flow_tiers")), e.p50_ms});
+  } else if (schema->str == "dco3d-bench-search-v2") {
+    fresh = measure_search(scale, grid_n).totals;
+  } else {
+    fresh = measure_ingest(scale, grid_n).entries;
+  }
+  const util::JsonValue* base_simd = base.find("simd");
+  if (base_simd && base_simd->is(Kind::kString) &&
+      base_simd->str != nn::simd::backend_name())
     std::printf("note: baseline simd=%s, current simd=%s — timings may not "
                 "be comparable\n",
-                base_simd.c_str(), nn::simd::backend_name());
+                base_simd->str.c_str(), nn::simd::backend_name());
 
   int regressions = 0;
   std::printf("%-28s %10s %10s %8s\n", "kernel", "base_ms", "fresh_ms",

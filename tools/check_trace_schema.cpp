@@ -6,238 +6,56 @@
 //   check_trace_schema <trace.jsonl>
 //
 // Exit 0 when every line conforms; exit 1 with the offending line number and
-// reason otherwise. The parser is a small self-contained JSON reader — the
-// repo has no JSON dependency, and the trace emitters are hand-rolled too, so
-// this doubles as an independent check that the emitted JSON actually parses.
+// reason otherwise (a line that is not valid JSON, an unknown schema, or a
+// field of the wrong type or range); exit 2 on usage or an unreadable file.
+// Lines are read with the library's JSON parser (util/jsonl), whose
+// conformance on literal JSON text is pinned by its own unit tests.
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "util/jsonl.hpp"
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (objects, arrays, strings,
-// numbers, true/false/null). Throws std::runtime_error on malformed input.
+using dco3d::util::JsonValue;
+using Kind = JsonValue::Kind;
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_bool() const { return kind == Kind::kBool; }
-  bool is_object() const { return kind == Kind::kObject; }
-  const JsonValue* find(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error(what + " at byte " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.str = string();
-        return v;
-      }
-      case 't': case 'f': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        if (literal("true")) v.boolean = true;
-        else if (literal("false")) v.boolean = false;
-        else fail("bad literal");
-        return v;
-      }
-      case 'n':
-        if (!literal("null")) fail("bad literal");
-        return JsonValue{};
-      default: return number();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') { ++pos_; return v; }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object[key] = value();
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') { ++pos_; return v; }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') { out += c; continue; }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Traces only escape control chars; keep the low byte.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected a number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    char* end = nullptr;
-    const std::string tok = s_.substr(start, pos_ - start);
-    v.number = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("malformed number");
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+/// `f` is present and a number >= lo.
+bool number_ge(const JsonValue* f, double lo) {
+  return f && f->is(Kind::kNumber) && f->num >= lo;
+}
 
 // ---------------------------------------------------------------------------
 // Schema checks for dco3d-stage-trace-v1.
 
 std::string check_entry(const JsonValue& v) {
   const JsonValue* stage = v.find("stage");
-  if (!stage || !stage->is_string() || stage->str.empty())
+  if (!stage || !stage->is(Kind::kString) || stage->str.empty())
     return "'stage' must be a non-empty string";
-  if (const JsonValue* design = v.find("design"); design && !design->is_string())
+  if (const JsonValue* design = v.find("design");
+      design && !design->is(Kind::kString))
     return "'design' must be a string when present";
 
-  const JsonValue* index = v.find("index");
-  if (!index || !index->is_number() || index->number < 0)
-    return "'index' must be a number >= 0";
+  if (!number_ge(v.find("index"), 0)) return "'index' must be a number >= 0";
   const JsonValue* cached = v.find("cached");
-  if (!cached || !cached->is_bool()) return "'cached' must be a boolean";
-  const JsonValue* wall = v.find("wall_ms");
-  if (!wall || !wall->is_number() || wall->number < 0)
+  if (!cached || !cached->is(Kind::kBool)) return "'cached' must be a boolean";
+  if (!number_ge(v.find("wall_ms"), 0))
     return "'wall_ms' must be a number >= 0";
-  const JsonValue* threads = v.find("threads");
-  if (!threads || !threads->is_number() || threads->number < 1)
+  if (!number_ge(v.find("threads"), 1))
     return "'threads' must be a number >= 1";
 
   const auto check_counters = [&](const char* block,
                                   const std::vector<const char*>& keys)
       -> std::string {
     const JsonValue* b = v.find(block);
-    if (!b || !b->is_object())
+    if (!b || !b->is(Kind::kObject))
       return std::string("'") + block + "' must be an object";
-    for (const char* k : keys) {
-      const JsonValue* f = b->find(k);
-      if (!f || !f->is_number() || f->number < 0)
+    for (const char* k : keys)
+      if (!number_ge(b->find(k), 0))
         return std::string("'") + block + "." + k + "' must be a number >= 0";
-    }
     return "";
   };
   if (std::string e = check_counters(
@@ -251,33 +69,27 @@ std::string check_entry(const JsonValue& v) {
     return e;
 
   const JsonValue* metrics = v.find("metrics");
-  if (!metrics || !metrics->is_object())
+  if (!metrics || !metrics->is(Kind::kObject))
     return "'metrics' must be an object";
-  for (const auto& [k, mv] : metrics->object)
-    if (!mv.is_number()) return "'metrics." + k + "' must be a number";
+  for (const auto& [k, mv] : metrics->obj)
+    if (!mv.is(Kind::kNumber)) return "'metrics." + k + "' must be a number";
 
   // Per-tier metric family: an uncached route stage publishes 'tiers' plus
   // one 'ovf_tier<t>' per die and 'vias_b<b>'/'cut_b<b>' per tier boundary.
-  if (stage->str == "route" && !cached->boolean) {
+  if (stage->str == "route" && !cached->b) {
     const JsonValue* tiers = metrics->find("tiers");
-    if (!tiers || !tiers->is_number() || tiers->number < 2 ||
-        tiers->number != static_cast<double>(static_cast<int>(tiers->number)))
+    if (!number_ge(tiers, 2) ||
+        tiers->num != static_cast<double>(static_cast<int>(tiers->num)))
       return "'metrics.tiers' must be an integer >= 2 on route entries";
-    const int k = static_cast<int>(tiers->number);
-    for (int t = 0; t < k; ++t) {
-      const std::string key = "ovf_tier" + std::to_string(t);
-      const JsonValue* f = metrics->find(key);
-      if (!f || !f->is_number() || f->number < 0)
+    const int k = static_cast<int>(tiers->num);
+    std::vector<std::string> keys;
+    for (int t = 0; t < k; ++t) keys.push_back("ovf_tier" + std::to_string(t));
+    for (int b = 0; b + 1 < k; ++b)
+      for (const char* prefix : {"vias_b", "cut_b"})
+        keys.push_back(prefix + std::to_string(b));
+    for (const std::string& key : keys)
+      if (!number_ge(metrics->find(key), 0))
         return "'metrics." + key + "' must be a number >= 0";
-    }
-    for (int b = 0; b + 1 < k; ++b) {
-      for (const char* prefix : {"vias_b", "cut_b"}) {
-        const std::string key = prefix + std::to_string(b);
-        const JsonValue* f = metrics->find(key);
-        if (!f || !f->is_number() || f->number < 0)
-          return "'metrics." + key + "' must be a number >= 0";
-      }
-    }
   }
   return "";
 }
@@ -290,34 +102,35 @@ std::string check_entry(const JsonValue& v) {
 std::string check_nonneg(const JsonValue& v, const char* key,
                          bool integer = true) {
   const JsonValue* f = v.find(key);
-  if (!f || !f->is_number() || f->number < 0)
+  if (!number_ge(f, 0))
     return std::string("'") + key + "' must be a number >= 0";
   if (integer &&
-      f->number != static_cast<double>(static_cast<long long>(f->number)))
+      f->num != static_cast<double>(static_cast<long long>(f->num)))
     return std::string("'") + key + "' must be an integer";
   return "";
 }
 
 std::string check_search_entry(const JsonValue& v) {
   const JsonValue* event = v.find("event");
-  if (!event || !event->is_string() ||
+  if (!event || !event->is(Kind::kString) ||
       (event->str != "eval" && event->str != "round"))
     return "'event' must be \"eval\" or \"round\"";
-  if (const JsonValue* design = v.find("design"); design && !design->is_string())
+  if (const JsonValue* design = v.find("design");
+      design && !design->is(Kind::kString))
     return "'design' must be a string when present";
   if (std::string e = check_nonneg(v, "round"); !e.empty()) return e;
 
   if (event->str == "eval") {
     if (std::string e = check_nonneg(v, "candidate"); !e.empty()) return e;
     const JsonValue* fid = v.find("fidelity");
-    if (!fid || !fid->is_string() ||
+    if (!fid || !fid->is(Kind::kString) ||
         (fid->str != "cheap" && fid->str != "full"))
       return "'fidelity' must be \"cheap\" or \"full\"";
     const JsonValue* obj = v.find("objective");
-    if (!obj || !obj->is_number()) return "'objective' must be a number";
+    if (!obj || !obj->is(Kind::kNumber)) return "'objective' must be a number";
     for (const char* key : {"usable", "promoted"}) {
       const JsonValue* f = v.find(key);
-      if (!f || !f->is_bool())
+      if (!f || !f->is(Kind::kBool))
         return std::string("'") + key + "' must be a boolean";
     }
     for (const char* key : {"stages_run", "stages_cached"})
@@ -331,13 +144,12 @@ std::string check_search_entry(const JsonValue& v) {
     if (std::string e = check_nonneg(v, key); !e.empty()) return e;
   for (const char* key : {"round_best", "best_objective"}) {
     const JsonValue* f = v.find(key);
-    if (!f || !f->is_number())
+    if (!f || !f->is(Kind::kNumber))
       return std::string("'") + key + "' must be a number";
   }
   if (std::string e = check_nonneg(v, "wall_ms", /*integer=*/false); !e.empty())
     return e;
-  const JsonValue* threads = v.find("threads");
-  if (!threads || !threads->is_number() || threads->number < 1)
+  if (!number_ge(v.find("threads"), 1))
     return "'threads' must be a number >= 1";
   return "";
 }
@@ -345,9 +157,9 @@ std::string check_search_entry(const JsonValue& v) {
 /// Dispatch on the declared schema; unknown schemas fail (a typo'd schema
 /// string must not validate as success).
 std::string check_line(const JsonValue& v) {
-  if (!v.is_object()) return "top-level value is not an object";
+  if (!v.is(Kind::kObject)) return "top-level value is not an object";
   const JsonValue* schema = v.find("schema");
-  if (!schema || !schema->is_string())
+  if (!schema || !schema->is(Kind::kString))
     return "missing 'schema' string";
   if (schema->str == "dco3d-stage-trace-v1") return check_entry(v);
   if (schema->str == "dco3d-search-trace-v1") return check_search_entry(v);
@@ -372,13 +184,9 @@ int main(int argc, char** argv) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::string err;
-    try {
-      const JsonValue v = JsonParser(line).parse();
-      err = check_line(v);
-    } catch (const std::exception& e) {
-      err = e.what();
-    }
+    JsonValue v;
+    const dco3d::Status st = dco3d::util::parse_json(line, v);
+    const std::string err = st.ok() ? check_line(v) : st.message();
     if (!err.empty()) {
       std::fprintf(stderr, "%s:%zu: %s\n", argv[1], lineno, err.c_str());
       return 1;

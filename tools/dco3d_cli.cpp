@@ -353,7 +353,8 @@ int cmd_route(const Args& a) {
   const Placement3D pl = load_placement(a, design);
   FlowConfig cfg;
   cfg.grid_nx = cfg.grid_ny = static_cast<int>(a.num("--grid", 48));
-  cfg.router = calibrated_router(design, pl, cfg.grid_nx, a.num("--pctile", 0.70));
+  cfg.router = calibrated_router(design, pl, cfg.grid_nx,
+                                 a.num("--pctile", kCalibrationPctile));
   FlowContext ctx = make_flow_context(design, cfg);
   ctx.placement = pl;
   run_stages(ctx, {"route"});
@@ -407,16 +408,18 @@ int cmd_train(const Args& a) {
   const Netlist design = load_design(a);
   const int grid_n = static_cast<int>(a.num("--grid", 48));
 
-  const int num_tiers = parse_tiers(a);
-  PlacementParams params;
-  const Placement3D ref =
-      place_pseudo3d(design, params, 42, /*legalized=*/true, num_tiers);
+  // Calibrate exactly as `flow` does, so the labels (per-tile overflow) come
+  // from the capacity model DCO's trial routes and signoff will use.
+  FlowConfig flow_cfg;
+  flow_cfg.grid_nx = flow_cfg.grid_ny = grid_n;
+  flow_cfg.num_tiers = parse_tiers(a);
   DatasetConfig dcfg;
-  dcfg.num_tiers = num_tiers;
+  dcfg.num_tiers = flow_cfg.num_tiers;
   dcfg.layouts = static_cast<int>(a.num("--layouts", 10));
   dcfg.grid_nx = dcfg.grid_ny = grid_n;
   dcfg.net_h = dcfg.net_w = grid_n;
-  dcfg.router = calibrated_router(design, ref, grid_n, a.num("--pctile", 0.70));
+  dcfg.router = calibrated_router(design, flow_cfg,
+                                  a.num("--pctile", kCalibrationPctile));
   std::printf("building %d layouts (+%d perturbed each)...\n", dcfg.layouts,
               dcfg.perturbed_per_layout);
   const auto dataset = build_dataset(design, dcfg);
@@ -470,7 +473,8 @@ int cmd_optimize(const Args& a) {
   const int grid_n = static_cast<int>(a.num("--grid", 48));
   DcoConfig dcfg;
   dcfg.grid_nx = dcfg.grid_ny = grid_n;
-  dcfg.router = calibrated_router(design, pl, grid_n, a.num("--pctile", 0.70));
+  dcfg.router = calibrated_router(design, pl, grid_n,
+                                  a.num("--pctile", kCalibrationPctile));
   apply_guard_options(a, dcfg.deadline_ms, dcfg.guard);
   TimingConfig tcfg;
   tcfg.clock_period_ps = a.num("--clock", 300.0);
@@ -503,12 +507,8 @@ int cmd_flow(const Args& a) {
   cfg.timing.clock_period_ps = a.num("--clock", 300.0);
   cfg.grid_nx = cfg.grid_ny = static_cast<int>(a.num("--grid", 48));
   cfg.num_tiers = parse_tiers(a);
-  {
-    const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed,
-                                           /*legalized=*/true, cfg.num_tiers);
-    cfg.router =
-        calibrated_router(design, ref, cfg.grid_nx, a.num("--pctile", 0.70));
-  }
+  cfg.router =
+      calibrated_router(design, cfg, a.num("--pctile", kCalibrationPctile));
 
   PlacementOptimizer opt;
   Predictor pred;
@@ -581,7 +581,8 @@ int cmd_batch(const Args& a) {
   std::printf("batch: %zu designs at scale %.3g on %d threads\n", kinds.size(),
               scale, util::num_threads());
   const std::vector<BatchJob> jobs =
-      make_generator_jobs(kinds, scale, base, seed, a.num("--pctile", 0.70));
+      make_generator_jobs(kinds, scale, base, seed,
+                          a.num("--pctile", kCalibrationPctile));
 
   BatchOptions opts;
   opts.stop_after = a.get("--stop-after", "");
@@ -628,12 +629,8 @@ int cmd_search(const Args& a) {
   base.grid_nx = base.grid_ny = static_cast<int>(a.num("--grid", 16));
   base.num_tiers = parse_tiers(a);
   base.seed = spec.seed;
-  {
-    const Placement3D ref = place_pseudo3d(design, base.place_params, base.seed,
-                                           /*legalized=*/true, base.num_tiers);
-    base.router =
-        calibrated_router(design, ref, base.grid_nx, a.num("--pctile", 0.70));
-  }
+  base.router =
+      calibrated_router(design, base, a.num("--pctile", kCalibrationPctile));
 
   FlowEvaluatorConfig ec;
   std::unique_ptr<ArtifactCache> cache;
@@ -834,8 +831,11 @@ int cmd_submit(const Args& a) {
     while (reader.read_line(line)) {
       std::printf("%s\n", line.c_str());
       std::fflush(stdout);
-      util::JsonObject o;
-      if (!util::parse_json_object(line, o).ok()) continue;
+      util::JsonValue v;
+      if (!util::parse_json(line, v).ok() ||
+          !v.is(util::JsonValue::Kind::kObject))
+        continue;
+      const util::JsonObject& o = v.obj;
       const std::string event = util::json_str(o, "event", "");
       if (event == "stage" || event == "eval" || event == "round")
         continue;  // progress stream

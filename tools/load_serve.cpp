@@ -56,7 +56,7 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-/// Submit one job with wait:true; returns the final flat response object
+/// Submit one job with wait:true; returns the final response object
 /// ("done" event, shed line, or empty on transport trouble).
 util::JsonObject submit_and_wait(int port, const std::string& body) {
   util::JsonObject obj;
@@ -66,10 +66,12 @@ util::JsonObject submit_and_wait(int port, const std::string& body) {
     util::LineReader reader(conn.get());
     std::string line;
     while (reader.read_line(line)) {
-      if (line.find("\"event\":\"stage\"") != std::string::npos) continue;
-      util::JsonObject parsed;
-      if (!util::parse_json_object(line, parsed).ok()) continue;
-      obj = std::move(parsed);
+      util::JsonValue v;
+      if (!util::parse_json(line, v).ok() ||
+          !v.is(util::JsonValue::Kind::kObject) ||
+          util::json_str(v.obj, "event", "") == "stage")
+        continue;
+      obj = std::move(v.obj);
       if (util::json_str(obj, "event", "") == "done") break;
       if (!util::json_bool(obj, "ok", false)) break;  // shed
     }
@@ -119,11 +121,15 @@ int main(int argc, char** argv) {
   std::printf("load_serve: server on 127.0.0.1:%d (%d workers, queue %zu)\n",
               port, workers, queue);
 
-  char body[256];
-  std::snprintf(body, sizeof body,
-                "{\"cmd\":\"submit\",\"kind\":\"dma\",\"scale\":%g,"
-                "\"grid\":%d,\"seed\":%d,\"cache\":false,\"wait\":true}",
-                scale, grid, 1);
+  const std::string body = util::JsonWriter()
+                               .field("cmd", "submit")
+                               .field("kind", "dma")
+                               .field("scale", scale)
+                               .field("grid", grid)
+                               .field("seed", 1)
+                               .field("cache", false)
+                               .field("wait", true)
+                               .done();
 
   // Calibrate: sequential warmup jobs measure the per-job service time the
   // capacity model is based on (the first run also pays one-time setup).
@@ -199,35 +205,41 @@ int main(int argc, char** argv) {
   server.request_drain();
   server.wait();
 
-  // Hand-rolled nested JSON (the flat JsonWriter can't hold the levels
-  // array); numbers only, so no escaping is needed beyond %g.
-  std::ofstream os(out);
-  os << "{\"schema\":\"dco3d-bench-serve-v1\",";
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "\"workers\":%d,\"queue_depth\":%zu,\"jobs_per_level\":%d,"
-                "\"scale\":%g,\"grid\":%d,\"service_ms\":%.3f,"
-                "\"capacity_hz\":%.4f,\"levels\":[",
-                workers, queue, jobs_per_level, scale, grid, service_ms,
-                capacity_hz);
-  os << buf;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const LevelResult& lr = results[i];
+  std::vector<std::string> level_rows;
+  for (const LevelResult& lr : results) {
     const int served = lr.completed + lr.early_commit;
-    std::snprintf(
-        buf, sizeof buf,
-        "%s{\"multiplier\":%g,\"offered_hz\":%.4f,\"offered\":%d,"
-        "\"completed\":%d,\"early_commit\":%d,\"shed\":%d,\"failed\":%d,"
-        "\"throughput_hz\":%.4f,\"shed_rate\":%.4f,"
-        "\"p50_ms\":%.2f,\"p95_ms\":%.2f,\"p99_ms\":%.2f}",
-        i ? "," : "", lr.multiplier, lr.offered_hz, lr.offered, lr.completed,
-        lr.early_commit, lr.shed, lr.failed,
-        lr.elapsed_s > 0.0 ? served / lr.elapsed_s : 0.0,
-        lr.offered > 0 ? static_cast<double>(lr.shed) / lr.offered : 0.0,
-        lr.p50_ms, lr.p95_ms, lr.p99_ms);
-    os << buf;
+    level_rows.push_back(
+        util::JsonWriter()
+            .field("multiplier", lr.multiplier)
+            .field("offered_hz", lr.offered_hz)
+            .field("offered", lr.offered)
+            .field("completed", lr.completed)
+            .field("early_commit", lr.early_commit)
+            .field("shed", lr.shed)
+            .field("failed", lr.failed)
+            .field("throughput_hz",
+                   lr.elapsed_s > 0.0 ? served / lr.elapsed_s : 0.0)
+            .field("shed_rate", lr.offered > 0 ? static_cast<double>(lr.shed) /
+                                                     lr.offered
+                                               : 0.0)
+            .field("p50_ms", lr.p50_ms)
+            .field("p95_ms", lr.p95_ms)
+            .field("p99_ms", lr.p99_ms)
+            .done());
   }
-  os << "]}\n";
+  std::ofstream os(out);
+  os << util::JsonWriter()
+            .field("schema", "dco3d-bench-serve-v1")
+            .field("workers", workers)
+            .field("queue_depth", std::uint64_t{queue})
+            .field("jobs_per_level", jobs_per_level)
+            .field("scale", scale)
+            .field("grid", grid)
+            .field("service_ms", service_ms)
+            .field("capacity_hz", capacity_hz)
+            .array("levels", level_rows)
+            .done()
+     << '\n';
   if (!os) {
     std::fprintf(stderr, "load_serve: cannot write %s\n", out.c_str());
     return 1;

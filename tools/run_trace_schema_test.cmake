@@ -32,6 +32,31 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "trace schema validation failed (${rc})")
 endif()
 
+# Negative passes: the validator must refuse (exit 1) a truncated line, an
+# unknown schema, and a wrong-typed field, each derived from the first line
+# of the trace just validated.
+file(READ "${WORK_DIR}/trace.jsonl" trace_text)
+string(FIND "${trace_text}" "\n" eol)
+string(SUBSTRING "${trace_text}" 0 ${eol} first_line)
+math(EXPR half "${eol} / 2")
+string(SUBSTRING "${first_line}" 0 ${half} truncated)
+string(REPLACE "dco3d-stage-trace-v1" "dco3d-stage-trace-v0" unknown_schema
+       "${first_line}")
+string(REGEX REPLACE "\"wall_ms\":[^,]*" "\"wall_ms\":\"fast\"" wrong_type
+       "${first_line}")
+foreach(bad truncated unknown_schema wrong_type)
+  if("${${bad}}" STREQUAL "${first_line}")
+    message(FATAL_ERROR "could not derive the ${bad} case from: ${first_line}")
+  endif()
+  file(WRITE "${WORK_DIR}/bad_${bad}.jsonl" "${${bad}}\n")
+  execute_process(
+    COMMAND "${CHECKER}" "${WORK_DIR}/bad_${bad}.jsonl"
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "validator accepted the ${bad} trace (exit ${rc})")
+  endif()
+endforeach()
+
 # N-tier pass: a 3-tier flow on a stacking-scenario workload must emit the
 # per-tier metric family (tiers / ovf_tier<t> / vias_b<b> / cut_b<b>) and
 # still conform to the schema.
