@@ -13,8 +13,9 @@
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
 #include "flow/pin3d.hpp"
+#include "flow/stage.hpp"
 #include "netlist/generators.hpp"
-#include "opt/bayesopt.hpp"
+#include "search/searcher.hpp"
 
 namespace dco3d::bench {
 
@@ -39,7 +40,7 @@ struct BenchConfig {
 /// Flow configuration matched to a design spec and bench config, with
 /// router capacities calibrated once on the stock Pin-3D placement (the
 /// same capacity model must be shared by every flow variant of a design —
-/// see calibrate_capacity).
+/// see calibrated_router).
 inline FlowConfig make_flow_config(const DesignSpec& spec, const BenchConfig& b,
                                    const Netlist& design) {
   FlowConfig cfg;
@@ -47,9 +48,9 @@ inline FlowConfig make_flow_config(const DesignSpec& spec, const BenchConfig& b,
   cfg.grid_nx = cfg.grid_ny = b.map_hw;
   cfg.seed = 42;  // one shared seed across all flows (Table III caption)
 
-  Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed);
-  const GCellGrid grid(ref.outline, cfg.grid_nx, cfg.grid_ny);
-  cfg.router = calibrate_capacity(design, ref, grid, cfg.router, 0.70);
+  cfg.router = calibrated_router(
+      design, place_pseudo3d(design, cfg.place_params, cfg.seed), cfg.grid_nx,
+      kCalibrationPctile);
   return cfg;
 }
 

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   // Ground truth: finish the flow (CTS + legalize + route) as in §III-A.
   run_cts(design, pl);
   legalize_all(design, pl, params);
-  const RouterConfig rcfg = calibrate_capacity(design, pl, grid, {}, 0.70);
+  const RouterConfig rcfg =
+      calibrated_router(design, pl, bcfg.map_hw, kCalibrationPctile);
   const RouteResult route = global_route(design, pl, grid, rcfg);
 
   std::printf("\npost-route ground-truth congestion:\n");

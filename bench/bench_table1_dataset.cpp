@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     const Placement3D pl = place_pseudo3d(design, p, 42);
     const GCellGrid grid(pl.outline, bcfg.map_hw, bcfg.map_hw);
     if (!calibrated) {
-      rcfg = calibrate_capacity(design, pl, grid, {}, 0.70);
+      rcfg = calibrated_router(design, pl, bcfg.map_hw, kCalibrationPctile);
       calibrated = true;
     }
     const RouteResult r = global_route(design, pl, grid, rcfg);

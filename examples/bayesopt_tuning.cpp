@@ -8,27 +8,22 @@
 #include <cstdlib>
 #include <string>
 
+#include "flow/stage.hpp"
 #include "netlist/generators.hpp"
-#include "opt/bayesopt.hpp"
 #include "place/placer3d.hpp"
 #include "route/router.hpp"
+#include "search/searcher.hpp"
 
 using namespace dco3d;
 
-namespace {
-DesignKind parse_kind(const char* s) {
-  const std::string k = s;
-  if (k == "aes") return DesignKind::kAes;
-  if (k == "ecg") return DesignKind::kEcg;
-  if (k == "ldpc") return DesignKind::kLdpc;
-  if (k == "vga") return DesignKind::kVga;
-  if (k == "rocket") return DesignKind::kRocket;
-  return DesignKind::kDma;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
-  const DesignKind kind = argc > 1 ? parse_kind(argv[1]) : DesignKind::kDma;
+  Status kind_err;
+  const DesignKind kind =
+      argc > 1 ? parse_serve_kind(argv[1], kind_err) : DesignKind::kDma;
+  if (!kind_err.ok()) {
+    std::fprintf(stderr, "%s\n", kind_err.to_string().c_str());
+    return 2;
+  }
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.04;
   const int iterations = argc > 3 ? std::atoi(argv[3]) : 10;
 
@@ -40,8 +35,8 @@ int main(int argc, char** argv) {
   // Fixed capacity model calibrated on the default configuration.
   PlacementParams default_params;
   const Placement3D ref = place_pseudo3d(design, default_params, 42);
-  const GCellGrid grid(ref.outline, 48, 48);
-  const RouterConfig router = calibrate_capacity(design, ref, grid, {}, 0.70);
+  const RouterConfig router =
+      calibrated_router(design, ref, 48, kCalibrationPctile);
 
   // Objective: total routing overflow of the legalized placement.
   auto objective = [&](const PlacementParams& p) {

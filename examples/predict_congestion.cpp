@@ -10,6 +10,7 @@
 
 #include "core/trainer.hpp"
 #include "flow/dataset.hpp"
+#include "flow/stage.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer3d.hpp"
 #include "route/router.hpp"
@@ -17,20 +18,14 @@
 
 using namespace dco3d;
 
-namespace {
-DesignKind parse_kind(const char* s) {
-  const std::string k = s;
-  if (k == "dma") return DesignKind::kDma;
-  if (k == "ecg") return DesignKind::kEcg;
-  if (k == "ldpc") return DesignKind::kLdpc;
-  if (k == "vga") return DesignKind::kVga;
-  if (k == "rocket") return DesignKind::kRocket;
-  return DesignKind::kAes;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
-  const DesignKind kind = argc > 1 ? parse_kind(argv[1]) : DesignKind::kAes;
+  Status kind_err;
+  const DesignKind kind =
+      argc > 1 ? parse_serve_kind(argv[1], kind_err) : DesignKind::kAes;
+  if (!kind_err.ok()) {
+    std::fprintf(stderr, "%s\n", kind_err.to_string().c_str());
+    return 2;
+  }
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.04;
   const int layouts = argc > 3 ? std::atoi(argv[3]) : 10;
   const int epochs = argc > 4 ? std::atoi(argv[4]) : 8;
@@ -44,8 +39,8 @@ int main(int argc, char** argv) {
   // show the "routable with hotspots" regime (see DESIGN.md).
   PlacementParams default_params;
   const Placement3D ref = place_pseudo3d(design, default_params, 42);
-  const GCellGrid ref_grid(ref.outline, 48, 48);
-  const RouterConfig router = calibrate_capacity(design, ref, ref_grid, {}, 0.70);
+  const RouterConfig router =
+      calibrated_router(design, ref, 48, kCalibrationPctile);
   std::printf("calibrated capacities: H=%.0f V=%.0f tracks/GCell\n",
               router.h_capacity, router.v_capacity);
 

@@ -2,7 +2,7 @@
 // print the Table III-style metrics for both evaluation stages.
 //
 //   ./examples/quickstart [design] [scale]
-//     design: dma|aes|ecg|ldpc|vga|rocket (default ldpc)
+//     design: dma|aes|ecg|ldpc|vga|rocket|memlogic|macroheavy (default ldpc)
 //     scale:  fraction of the paper's design size (default 0.05)
 
 #include <cstdio>
@@ -10,27 +10,20 @@
 #include <string>
 
 #include "flow/pin3d.hpp"
+#include "flow/stage.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer3d.hpp"
 
 using namespace dco3d;
 
-namespace {
-
-DesignKind parse_kind(const char* s) {
-  const std::string k = s;
-  if (k == "dma") return DesignKind::kDma;
-  if (k == "aes") return DesignKind::kAes;
-  if (k == "ecg") return DesignKind::kEcg;
-  if (k == "vga") return DesignKind::kVga;
-  if (k == "rocket") return DesignKind::kRocket;
-  return DesignKind::kLdpc;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const DesignKind kind = argc > 1 ? parse_kind(argv[1]) : DesignKind::kLdpc;
+  Status kind_err;
+  const DesignKind kind =
+      argc > 1 ? parse_serve_kind(argv[1], kind_err) : DesignKind::kLdpc;
+  if (!kind_err.ok()) {
+    std::fprintf(stderr, "%s\n", kind_err.to_string().c_str());
+    return 2;
+  }
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
 
   const DesignSpec spec = spec_for(kind, scale);
@@ -44,11 +37,9 @@ int main(int argc, char** argv) {
   cfg.timing.clock_period_ps = spec.clock_period_ps;
   cfg.seed = 42;
   // Calibrate routing capacities on the default placement (see DESIGN.md).
-  {
-    const Placement3D ref = place_pseudo3d(design, cfg.place_params, cfg.seed);
-    const GCellGrid grid(ref.outline, cfg.grid_nx, cfg.grid_ny);
-    cfg.router = calibrate_capacity(design, ref, grid, cfg.router, 0.70);
-  }
+  cfg.router = calibrated_router(
+      design, place_pseudo3d(design, cfg.place_params, cfg.seed), cfg.grid_nx,
+      kCalibrationPctile);
 
   const FlowResult r = run_pin3d_flow(design, cfg);
 

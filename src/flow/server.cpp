@@ -30,20 +30,22 @@ double now_ms(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-DesignKind parse_serve_kind(const std::string& k, Status& err) {
-  if (k == "dma") return DesignKind::kDma;
-  if (k == "aes") return DesignKind::kAes;
-  if (k == "ecg") return DesignKind::kEcg;
-  if (k == "ldpc") return DesignKind::kLdpc;
-  if (k == "vga") return DesignKind::kVga;
-  if (k == "rocket") return DesignKind::kRocket;
-  if (k == "memlogic") return DesignKind::kMemLogic;
-  if (k == "macroheavy") return DesignKind::kMacroHeavy;
-  err = Status::invalid_argument(
-      "unknown design kind '" + k +
-      "' (valid kinds: dma, aes, ecg, ldpc, vga, rocket, memlogic, "
-      "macroheavy)");
-  return DesignKind::kDma;
+ServeJobSetup build_serve_job(const ServeJobSpec& spec, double pctile) {
+  Status kind_err;
+  const DesignKind kind = parse_serve_kind(spec.kind, kind_err);
+  if (!kind_err.ok()) throw StatusError(kind_err);
+
+  DesignSpec ds = spec_for(kind, spec.scale);
+  ds.seed = spec.seed == 0 ? 1 : spec.seed;
+  ds.clock_period_ps = spec.clock_ps;
+  ServeJobSetup setup;
+  setup.name = ds.name;
+  setup.design = generate_design(ds);
+  setup.cfg.grid_nx = setup.cfg.grid_ny = spec.grid;
+  setup.cfg.num_tiers = spec.tiers;
+  setup.cfg.seed = ds.seed;
+  setup.cfg.router = calibrated_router(setup.design, setup.cfg, pctile);
+  return setup;
 }
 
 const char* job_state_name(JobState s) {
@@ -291,23 +293,9 @@ void Server::run_job(Job& job) {
       return;
     }
 
-    Status kind_err;
-    const DesignKind kind = parse_serve_kind(job.spec.kind, kind_err);
-    if (!kind_err.ok()) throw StatusError(kind_err);
-
-    DesignSpec spec = spec_for(kind, job.spec.scale);
-    spec.seed = job.spec.seed == 0 ? 1 : job.spec.seed;
-    spec.clock_period_ps = job.spec.clock_ps;
-    const Netlist design = generate_design(spec);
-
-    FlowConfig cfg;
-    cfg.grid_nx = cfg.grid_ny = job.spec.grid;
-    cfg.num_tiers = job.spec.tiers;
-    cfg.seed = spec.seed;
-    cfg.router = calibrated_router(design, cfg);
-
-    FlowContext ctx = make_flow_context(design, cfg);
-    ctx.design_name = spec.name;
+    const ServeJobSetup setup = build_serve_job(job.spec);
+    FlowContext ctx = make_flow_context(setup.design, setup.cfg);
+    ctx.design_name = setup.name;
     {
       std::lock_guard<std::mutex> lock(job.mu);
       job.key = flow_cache_key(ctx);
@@ -786,6 +774,16 @@ void Server::conn_loop(int raw_fd) {
     }
     if (!resp.empty() && !util::send_line(raw_fd, resp)) break;
   }
+  if (reader.overlong())
+    util::send_line(raw_fd,
+                    JsonWriter()
+                        .field("ok", false)
+                        .field("status", "invalid_argument")
+                        .field("message",
+                               "request line longer than " +
+                                   std::to_string(util::kMaxLineBytes) +
+                                   " bytes")
+                        .done());
   std::lock_guard<std::mutex> lock(conns_mu_);
   ::close(raw_fd);
   conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), raw_fd));

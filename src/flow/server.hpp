@@ -76,6 +76,23 @@ struct ServeJobSpec {
   bool use_cache = true;     // share the artifact cache
 };
 
+/// The design and flow configuration a generated job runs on.
+struct ServeJobSetup {
+  std::string name;  // generator design name (labels traces and contexts)
+  Netlist design;
+  FlowConfig cfg;    // grid, tiers, seed and the calibrated router
+};
+
+/// Build a generated job from its spec: generate the design (seed 0 means
+/// 1), then calibrate the router on the flow's own legalized reference at
+/// `pctile`. The one setup path of served flow and search jobs and of
+/// `dco3d search`, so the same spec gets the same cache keys on every path.
+/// cfg.timing keeps its default: spec.clock_ps reaches only
+/// DesignSpec::clock_period_ps, which the generator does not read. Throws
+/// StatusError (kInvalidArgument) on an unknown kind.
+ServeJobSetup build_serve_job(const ServeJobSpec& spec,
+                              double pctile = kCalibrationPctile);
+
 /// What a custom job runner (a non-"flow" job type) reports back; surfaced
 /// through JobSnapshot and the status/done protocol events. The search job
 /// type fills the objective/eval fields.
@@ -109,10 +126,6 @@ struct ServeRunContext {
 /// marks the job failed; cancellation/deadline are reported via the outcome.
 using ServeJobRunner =
     std::function<Status(const ServeRunContext&, ServeRunOutcome&)>;
-
-/// Parse a generator design kind ("dma", "aes", ...); on failure fills `err`
-/// with kInvalidArgument (listing the valid kinds) and returns kDma.
-DesignKind parse_serve_kind(const std::string& k, Status& err);
 
 /// Immutable view of a job record (returned by Server::job / the status
 /// command).

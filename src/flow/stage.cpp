@@ -151,7 +151,10 @@ std::vector<Stage> make_pin3d_stages() {
     ensure_grid(c);
     c.res.global_placement = c.placement;
     c.publish("hook_present", c.optimizer ? 1.0 : 0.0);
-  }, [](const FlowContext& c) { return opt_key(c) + grid_key(c); });
+  }, [](const FlowContext& c) {
+    // A DCO hook reads the router (trial routes) and timing configs too.
+    return opt_key(c) + grid_key(c) + router_key(c) + timing_key(c);
+  });
 
   s.emplace_back("after-place-metrics", [](FlowContext& c) {
     // "after 3D placement optimization" view: legalize a copy and evaluate;

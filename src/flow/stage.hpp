@@ -40,7 +40,8 @@ struct FlowContext {
   std::string design_name;       // labels trace entries and batch rows
   // Cache-key component describing the optimizer hook (a std::function can't
   // be hashed). Callers that cache must set it to something that identifies
-  // the hook's behaviour, e.g. the checkpoint path; "none" = no hook.
+  // the hook's behaviour, e.g. a hash of the checkpoint's bytes (the CLI's
+  // "dco:<fnv1a64>"); "none" = no hook.
   std::string optimizer_tag = "none";
 
   // Working state.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cmath>
 #include <vector>
 
@@ -19,6 +20,21 @@ const char* design_name(DesignKind kind) {
     case DesignKind::kMacroHeavy: return "MacroHeavy";
   }
   return "?";
+}
+
+DesignKind parse_serve_kind(const std::string& k, Status& err) {
+  std::string valid;
+  for (int i = 0; i <= static_cast<int>(DesignKind::kMacroHeavy); ++i) {
+    const auto kind = static_cast<DesignKind>(i);
+    std::string name = design_name(kind);
+    for (char& c : name)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (name == k) return kind;
+    valid += (i == 0 ? "" : ", ") + name;
+  }
+  err = Status::invalid_argument("unknown design kind '" + k +
+                                 "' (valid kinds: " + valid + ")");
+  return DesignKind::kDma;
 }
 
 DesignSpec spec_for(DesignKind kind, double scale) {

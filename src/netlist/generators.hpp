@@ -14,6 +14,7 @@
 
 #include "netlist/netlist.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace dco3d {
 
@@ -26,6 +27,12 @@ enum class DesignKind {
 };
 
 const char* design_name(DesignKind kind);
+
+/// Parse a design kind by its lower-case design_name ("dma", "aes", ...,
+/// "memlogic", "macroheavy"); on failure fills `err` with kInvalidArgument
+/// (listing the valid kinds) and returns kDma. The one kind parser of the
+/// CLI, the server and the examples.
+DesignKind parse_serve_kind(const std::string& k, Status& err);
 
 /// Target characteristics for a generated design.
 struct DesignSpec {

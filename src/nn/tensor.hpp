@@ -79,17 +79,6 @@ class Storage {
   std::int64_t size_ = 0;
 };
 
-/// Measurement/debug switch: when set, Tensor copies (and therefore
-/// reshaped() lvalue views, detach(), snapshots, ...) deep-copy eagerly
-/// instead of aliasing — the semantics this codebase had before shared
-/// storage. tools/check_alloc_regression flips it to quantify what sharing
-/// and tape reclamation save, via the arena statistics. Not thread-safe:
-/// toggle only from single-threaded code, and keep it off in production.
-inline bool& eager_copy_mode() {
-  static bool on = false;
-  return on;
-}
-
 class Tensor {
  public:
   Tensor() = default;
@@ -113,19 +102,10 @@ class Tensor {
   static Tensor scalar(float v) { return Tensor({1}, {v}); }
 
   // Copies and moves alias the same storage; divergence happens lazily at
-  // the first mutation (ensure_unique). Under eager_copy_mode() copies deep
-  // copy up front instead (pre-sharing semantics, for measurement).
-  Tensor(const Tensor& o) { *this = o; }
+  // the first mutation (ensure_unique).
+  Tensor(const Tensor&) = default;
   Tensor(Tensor&&) = default;
-  Tensor& operator=(const Tensor& o) {
-    if (this == &o) return *this;
-    if (eager_copy_mode()) return *this = o.clone();
-    storage_ = o.storage_;
-    offset_ = o.offset_;
-    numel_ = o.numel_;
-    shape_ = o.shape_;
-    return *this;
-  }
+  Tensor& operator=(const Tensor&) = default;
   Tensor& operator=(Tensor&&) = default;
 
   const Shape& shape() const { return shape_; }

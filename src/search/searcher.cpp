@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "flow/cache.hpp"
-#include "opt/gp.hpp"
+#include "search/gp.hpp"
 #include "util/jsonl.hpp"
 #include "util/parallel.hpp"
 #include "util/status.hpp"

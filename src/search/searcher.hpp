@@ -1,7 +1,7 @@
 #pragma once
 // Batched multi-fidelity surrogate search over the Table-I placement-knob
 // space — the generalization of the sequential "Pin-3D + BO" baseline the
-// repo started from (src/opt). Each round:
+// repo started from (bayes_optimize below). Each round:
 //
 //   1. fit a GP surrogate to all usable full-fidelity observations;
 //   2. generate `candidates` random/perturbed points (sequentially, from the
@@ -19,7 +19,7 @@
 //
 // With batch=1 and screening off this reduces *exactly* (bit-identically) to
 // the old sequential bayes_optimize, which is now a thin wrapper over this
-// searcher (opt/bayesopt.hpp). See docs/search.md.
+// searcher (declared below). See docs/search.md.
 
 #include <cstdint>
 #include <functional>
@@ -27,13 +27,47 @@
 #include <string>
 #include <vector>
 
-#include "opt/bayesopt.hpp"
+#include "place/params.hpp"
 #include "search/evaluator.hpp"
 #include "util/rng.hpp"
 
 namespace dco3d {
 
 class ArtifactCache;
+
+// --- Sequential BO: the "Pin-3D + BO" baseline [19] -----------------------
+//
+// GP surrogate + expected-improvement acquisition maximized by random
+// candidate sampling in the encoded [0,1]^16 space (mixed bool/enum/int/float
+// knobs round-trip through PlacementParams::encode/decode).
+
+struct BoConfig {
+  int init_samples = 6;   // random warm-up evaluations
+  int iterations = 10;    // BO steps after warm-up
+  int candidates = 512;   // EI candidates per step
+  double xi = 0.01;       // exploration margin
+};
+
+struct BoTracePoint {
+  PlacementParams params;
+  double objective = 0.0;
+};
+
+struct BoResult {
+  PlacementParams best_params;
+  double best_objective = 0.0;
+  std::vector<BoTracePoint> trace;  // in evaluation order
+};
+
+/// Minimize `objective` (e.g. routing overflow after placement) over the
+/// placement-parameter space. Deterministic given rng state. This is the
+/// B=1 / full-fidelity special case of multi_fidelity_search, bit-identical
+/// to the original sequential implementation (tests/test_search.cpp goldens
+/// the equivalence).
+BoResult bayes_optimize(const std::function<double(const PlacementParams&)>& objective,
+                        const BoConfig& cfg, Rng& rng);
+
+// --- Batched multi-fidelity search -----------------------------------------
 
 struct SearchConfig {
   int init_samples = 6;    // warm-up evaluations (first is always default)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "search/evaluator.hpp"
 #include "search/searcher.hpp"
@@ -12,28 +13,13 @@ namespace dco3d {
 ServeJobRunner make_search_job_runner() {
   return [](const ServeRunContext& ctx, ServeRunOutcome& outcome) -> Status {
     try {
-      Status kind_err;
-      const DesignKind kind = parse_serve_kind(ctx.spec.kind, kind_err);
-      if (!kind_err.ok()) return kind_err;
-
-      // Same design-construction glue as the flow job path, so a search job
-      // and the flow jobs it would spawn share cache keys.
-      DesignSpec spec = spec_for(kind, ctx.spec.scale);
-      spec.seed = ctx.spec.seed == 0 ? 1 : ctx.spec.seed;
-      spec.clock_period_ps = ctx.spec.clock_ps;
-      const Netlist design = generate_design(spec);
-
-      FlowConfig base;
-      base.grid_nx = base.grid_ny = ctx.spec.grid;
-      base.num_tiers = ctx.spec.tiers;
-      base.seed = spec.seed;
-      base.router = calibrated_router(design, base);
-
+      ServeJobSetup setup = build_serve_job(ctx.spec);
       FlowEvaluatorConfig ec;
       ec.cache = ctx.cache;
       ec.deadline = ctx.deadline;
       ec.cancel = ctx.cancel;
-      FlowEvaluator evaluator(spec.name, design, base, ec);
+      FlowEvaluator evaluator(setup.name, std::move(setup.design), setup.cfg,
+                              ec);
 
       // The server checked these knobs at submit (finite, and in range of
       // the integer types cast to), so the casts below are defined.
@@ -57,7 +43,7 @@ ServeJobRunner make_search_job_runner() {
         return Status::invalid_argument(
             "search: need rounds >= 0, init >= 1, batch >= 1, candidates >= "
             "1, 0 < promote <= 1");
-      const std::string design_name = spec.name;
+      const std::string design_name = setup.name;
       if (ctx.emit) {
         sc.on_round = [&ctx, design_name](const SearchRoundRecord& r) {
           const std::vector<std::string> lines =

@@ -116,13 +116,20 @@ bool send_line(int fd, std::string_view line) {
 }
 
 bool LineReader::read_line(std::string& out) {
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
+  while (!overlong_) {
+    const std::size_t nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
-      out.assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+      if (nl - start_ > kMaxLineBytes) break;
+      out.assign(buf_, start_, nl - start_);
+      start_ = scanned_ = nl + 1;
       return true;
     }
+    if (buf_.size() - start_ > kMaxLineBytes) break;
+    // Drop the consumed lines before the buffer grows: at most one move of
+    // the partial line per line, so a long line costs linear time.
+    buf_.erase(0, start_);
+    start_ = 0;
+    scanned_ = buf_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
@@ -132,6 +139,8 @@ bool LineReader::read_line(std::string& out) {
     if (n < 0 && errno == EINTR) continue;
     return false;  // EOF, reset, or recv timeout
   }
+  overlong_ = true;
+  return false;
 }
 
 }  // namespace dco3d::util

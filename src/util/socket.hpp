@@ -5,6 +5,7 @@
 // POSIX-only (the project targets linux); failures surface as StatusError —
 // kUnavailable when nothing is listening (retriable), kIoError otherwise.
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -63,17 +64,26 @@ bool send_all(int fd, std::string_view data);
 /// send_all of line + '\n'.
 bool send_line(int fd, std::string_view line);
 
+/// Longest line a LineReader accepts, terminator excluded (1 MiB).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Buffered blocking reader returning one '\n'-terminated line at a time
-/// (terminator stripped). read_line returns false on EOF, peer reset, or
-/// recv timeout.
+/// (terminator stripped). Each received byte is scanned once. read_line
+/// returns false on EOF, peer reset, recv timeout, or a line longer than
+/// kMaxLineBytes; in the last case overlong() is true and every later
+/// read_line fails too, since the stream cannot be resynchronized.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
   bool read_line(std::string& out);
+  bool overlong() const { return overlong_; }
 
  private:
   int fd_;
   std::string buf_;
+  std::size_t start_ = 0;    // first byte of the next line in buf_
+  std::size_t scanned_ = 0;  // buf_[start_, scanned_) holds no '\n'
+  bool overlong_ = false;
 };
 
 }  // namespace dco3d::util

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
+#include <string>
 
 #include "netlist/generators.hpp"
 #include "netlist/library.hpp"
@@ -60,6 +62,27 @@ TEST(Library, ConsistentRowHeight) {
     const CellType& t = lib.type(static_cast<CellTypeId>(i));
     if (t.function != CellFunction::kMacro && t.function != CellFunction::kIoPad)
       EXPECT_DOUBLE_EQ(t.height, lib.row_height());
+  }
+}
+
+TEST(Generators, KindParserAcceptsEveryLowerCaseDesignName) {
+  for (int i = 0; i <= static_cast<int>(DesignKind::kMacroHeavy); ++i) {
+    const auto kind = static_cast<DesignKind>(i);
+    std::string name = design_name(kind);
+    for (char& c : name)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    Status err;
+    EXPECT_EQ(parse_serve_kind(name, err), kind) << name;
+    EXPECT_TRUE(err.ok()) << name;
+  }
+  for (const char* bad : {"DMA", "nosuchkind", ""}) {
+    Status err;
+    parse_serve_kind(bad, err);
+    EXPECT_EQ(err.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(err.message(),
+              std::string("unknown design kind '") + bad +
+                  "' (valid kinds: dma, aes, ecg, ldpc, vga, rocket, "
+                  "memlogic, macroheavy)");
   }
 }
 

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "opt/bayesopt.hpp"
-#include "opt/gp.hpp"
+#include "search/gp.hpp"
+#include "search/searcher.hpp"
 #include "util/rng.hpp"
 
 namespace dco3d {

@@ -21,8 +21,8 @@
 #include "flow/server.hpp"
 #include "flow/stage.hpp"
 #include "place/placer3d.hpp"
-#include "opt/bayesopt.hpp"
 #include "search/evaluator.hpp"
+#include "search/gp.hpp"
 #include "search/searcher.hpp"
 #include "search/serve_search.hpp"
 #include "test_helpers.hpp"
@@ -245,6 +245,32 @@ TEST(Search, StageKeysShareUpstreamPrefixAcrossDownstreamKnobs) {
       EXPECT_EQ(ka[i], kb[i]) << pipe.stages()[i].name();
     else
       EXPECT_NE(ka[i], kb[i]) << pipe.stages()[i].name();
+  }
+}
+
+TEST(Search, DcoStageKeyCoversRouterAndTiming) {
+  // A DCO hook reads cfg.router (trial routes) and cfg.timing, so contexts
+  // that differ only there share place3d's artifact but not the dco stage's.
+  const Netlist design = testing::tiny_design(150);
+  FlowConfig cfg;
+  cfg.grid_nx = cfg.grid_ny = 8;
+  const FlowContext base = make_flow_context(design, cfg);
+  FlowConfig router_cfg = cfg;
+  router_cfg.router.h_capacity += 1.0;
+  FlowConfig timing_cfg = cfg;
+  timing_cfg.timing.clock_period_ps += 50.0;
+
+  const Pipeline& pipe = pin3d_pipeline();
+  const int dco = pipe.index_of("dco");
+  ASSERT_GT(dco, 0);
+  const std::vector<std::string> k0 = flow_stage_keys(base, pipe);
+  for (const FlowConfig& other : {router_cfg, timing_cfg}) {
+    const std::vector<std::string> k =
+        flow_stage_keys(make_flow_context(design, other), pipe);
+    EXPECT_EQ(k[static_cast<std::size_t>(dco - 1)],
+              k0[static_cast<std::size_t>(dco - 1)]);
+    EXPECT_NE(k[static_cast<std::size_t>(dco)],
+              k0[static_cast<std::size_t>(dco)]);
   }
 }
 

@@ -5,6 +5,7 @@
 // saturation, deadline early-commit, failed-job isolation, idempotent
 // resubmission via the cache, cancel, and drain semantics.
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -372,6 +373,60 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsAreRejectedNotFatal) {
   // The server is still fine afterwards.
   EXPECT_TRUE(util::json_bool(rpc(server.port(), R"({"cmd":"ping"})"), "ok",
                               false));
+  server.request_drain();
+  server.wait();
+}
+
+TEST_F(ServeTest, OverlongRequestLineIsRejectedAndServerStaysUp) {
+  Server server(small_cfg(""));
+  server.start();
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    util::Fd conn = util::connect_local(server.port());
+    // 2 MiB, twice the cap. The server stops reading at the cap and closes,
+    // so the tail of this send may fail; the answer is already queued.
+    util::send_line(conn.get(), R"({"cmd":"ping","pad":")" +
+                                    std::string(2u << 20, 'x') + "\"}");
+    util::LineReader reader(conn.get());
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    util::JsonObject resp;
+    ASSERT_TRUE(util::parse_json_object(line, resp).ok()) << line;
+    EXPECT_FALSE(util::json_bool(resp, "ok", true));
+    EXPECT_EQ(util::json_str(resp, "status", ""), "invalid_argument");
+    EXPECT_FALSE(reader.read_line(line)) << "connection must be closed";
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            5.0);
+  EXPECT_TRUE(util::json_bool(rpc(server.port(), R"({"cmd":"ping"})"), "ok",
+                              false));
+  server.request_drain();
+  server.wait();
+}
+
+TEST_F(ServeTest, FlowJobKeyMatchesBuildServeJob) {
+  // The served flow job and build_serve_job are one setup path: the key
+  // `status` reports is the builder's context key for the same spec.
+  Server server(small_cfg(""));
+  server.start();
+  const util::JsonObject done =
+      submit_wait(server.port(), R"(,"seed":3,"tiers":3,"stop_after":"place3d")");
+  ASSERT_EQ(util::json_str(done, "state", ""), "done");
+  const util::JsonObject st = rpc(
+      server.port(),
+      R"({"cmd":"status","job":")" + util::json_str(done, "job", "") + "\"}");
+
+  ServeJobSpec spec;
+  spec.kind = "dma";
+  spec.scale = 0.01;
+  spec.grid = 8;
+  spec.tiers = 3;
+  spec.seed = 3;
+  const ServeJobSetup setup = build_serve_job(spec);
+  EXPECT_EQ(util::json_str(st, "key", ""),
+            flow_cache_key(make_flow_context(setup.design, setup.cfg)));
   server.request_drain();
   server.wait();
 }

@@ -2,13 +2,17 @@
 // histogram, correlation), geometry primitives, and the JSON reader/writer.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cmath>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/geometry.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 #include "util/stats.hpp"
 
 namespace dco3d {
@@ -352,6 +356,71 @@ TEST(Json, WriterEscapesAndComposesNestedValues) {
             R"({"s":"v","d":0.10000000000000001,"nan":0,)"
             R"("u":18446744073709551615,"i":-7,"b":false,)"
             R"("rows":[{"x":1},{},[2]],"none":[],"obj":{"x":1}})");
+}
+
+// ---------------------------------------------------------------------------
+// LineReader over a socketpair. A writer thread feeds one end because the
+// capped lines are larger than the kernel's socket buffer.
+
+struct SocketPair {
+  util::Fd writer, reader;
+  SocketPair() {
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    writer.reset(sv[0]);
+    reader.reset(sv[1]);
+  }
+};
+
+TEST(LineReader, PipelinedLinesSplitAcrossChunkBoundaries) {
+  std::vector<std::string> lines;
+  std::string data;
+  for (int i = 0; i < 120; ++i) {
+    // Lengths 0..9999 straddle the reader's 4 KB receive chunks.
+    lines.emplace_back(static_cast<std::size_t>(i * 733 % 10000),
+                       static_cast<char>('a' + i % 26));
+    data += lines.back() + '\n';
+  }
+  SocketPair sp;
+  std::thread writer([&] {
+    // Odd-sized pieces: line ends land anywhere inside a piece.
+    for (std::size_t off = 0; off < data.size(); off += 997)
+      util::send_all(sp.writer.get(), std::string_view(data).substr(off, 997));
+    sp.writer.reset();
+  });
+  util::LineReader reader(sp.reader.get());
+  std::string got;
+  for (const std::string& want : lines) {
+    if (!reader.read_line(got)) break;
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_FALSE(reader.read_line(got)) << "EOF after the last line";
+  EXPECT_FALSE(reader.overlong());
+  sp.reader.reset();  // on a failure above, unblock the writer
+  writer.join();
+}
+
+TEST(LineReader, AcceptsLineAtCapAndRejectsOneByteMore) {
+  const std::string at_cap(util::kMaxLineBytes, 'x');
+  SocketPair sp;
+  std::thread writer([&] {
+    util::send_line(sp.writer.get(), "first");
+    util::send_line(sp.writer.get(), at_cap);
+    util::send_line(sp.writer.get(), at_cap + "y");
+    util::send_line(sp.writer.get(), "never read");
+  });
+  util::LineReader reader(sp.reader.get());
+  std::string got;
+  EXPECT_TRUE(reader.read_line(got));
+  EXPECT_EQ(got, "first");
+  EXPECT_TRUE(reader.read_line(got));
+  EXPECT_EQ(got.size(), util::kMaxLineBytes);
+  EXPECT_FALSE(reader.overlong());
+  EXPECT_FALSE(reader.read_line(got));
+  EXPECT_TRUE(reader.overlong());
+  EXPECT_FALSE(reader.read_line(got)) << "an overlong stream stays failed";
+  sp.reader.reset();  // the writer's blocked send fails instead of hanging
+  writer.join();
 }
 
 }  // namespace

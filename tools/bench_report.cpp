@@ -279,7 +279,7 @@ KernelSuite measure_kernels(double scale, int reps) {
   add("global_route_k3", [&] { global_route(design, pl3, grid3); });
   // Capacity calibrated tight, so rip-up-and-reroute's maze search runs.
   const RouterConfig tight =
-      calibrate_capacity(design, pl2, grid, {}, kCalibrationPctile);
+      calibrated_router(design, pl2, 32, kCalibrationPctile);
   add("global_route_rrr_k2", [&] { global_route(design, pl2, grid, tight); });
   add("sta", [&] { run_sta(design, pl2, tcfg); });
   add("fm_partition_k2", [&] {

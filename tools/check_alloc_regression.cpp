@@ -8,9 +8,6 @@
 // Usage:
 //   check_alloc_regression <baseline-file>            verify against baseline
 //   check_alloc_regression <baseline-file> --record   (re)write the baseline
-//   check_alloc_regression --acceptance               report the memory wins
-//                                                     vs a pre-refactor
-//                                                     emulation (32x32 run)
 //
 // The measured iteration runs after a warm-up pass so the arena free lists
 // are in steady state; chunk boundaries and allocation counts are
@@ -44,12 +41,6 @@ struct Measurement {
   std::uint64_t heap_allocs = 0;
   std::uint64_t requests = 0;
   std::uint64_t retain_peak_bytes = 0;  // same iteration with retain_graph
-  // Pre-refactor emulation (eager_copy_mode + retain_graph): every tensor
-  // copy is deep and the tape keeps all buffers, so `pre_requests` is the
-  // heap-allocation count the old implementation would have made and
-  // `pre_peak_bytes` its peak footprint.
-  std::uint64_t pre_peak_bytes = 0;
-  std::uint64_t pre_requests = 0;
 };
 
 /// One fixed DCO-style iteration: UNet fwd/bwd on 8x8 maps, soft feature
@@ -81,19 +72,19 @@ void dco_iteration(const Netlist& design, const GCellGrid& grid,
   nn::backward(loss, retain_graph);
 }
 
-Measurement measure(int grid_n, std::int64_t cells, std::int64_t base_channels,
-                    bool emulate_pre_refactor) {
+/// The fixed iteration: 8x8 maps, 160 cells, a base_channels=4 UNet.
+Measurement measure() {
   util::set_num_threads(1);
   DesignSpec spec = spec_for(DesignKind::kDma, 0.01);
-  spec.target_cells = cells;
+  spec.target_cells = 160;
   spec.target_ios = 16;
   spec.seed = 5;
   const Netlist design = generate_design(spec);
   const Rect outline{0.0, 0.0, 60.0, 60.0};
-  const GCellGrid grid(outline, grid_n, grid_n);
+  const GCellGrid grid(outline, 8, 8);
   Rng mrng(123);
   nn::UNetConfig cfg;
-  cfg.base_channels = base_channels;
+  cfg.base_channels = 4;
   cfg.depth = 2;
   nn::SiameseUNet model(cfg, mrng);
 
@@ -109,21 +100,6 @@ Measurement measure(int grid_n, std::int64_t cells, std::int64_t base_channels,
   arena.reset_peak();
   dco_iteration(design, grid, model, true);
   m.retain_peak_bytes = arena.stats().peak_bytes;
-
-  if (emulate_pre_refactor) {
-    // Full pre-refactor emulation: deep copies everywhere + retained tape.
-    // `requests` under this mode is the allocation count a pool-less
-    // implementation would have paid.
-    nn::eager_copy_mode() = true;
-    dco_iteration(design, grid, model, true);  // warm-up under eager semantics
-    arena.reset_peak();
-    arena.reset_counters();
-    dco_iteration(design, grid, model, true);
-    const util::ArenaStats pre = arena.stats();
-    m.pre_peak_bytes = pre.peak_bytes;
-    m.pre_requests = pre.requests;
-    nn::eager_copy_mode() = false;
-  }
   return m;
 }
 
@@ -132,45 +108,14 @@ Measurement measure(int grid_n, std::int64_t cells, std::int64_t base_channels,
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <baseline-file> [--record]\n"
-                 "       %s --acceptance\n",
-                 argv[0], argv[0]);
+    std::fprintf(stderr, "usage: %s <baseline-file> [--record]\n", argv[0]);
     return 2;
-  }
-
-  // --acceptance: no baseline comparison; run a larger, activation-dominated
-  // iteration (32x32 maps, quickstart-sized UNet) and report the memory
-  // numbers behind the PR's peak-bytes / allocation claims.
-  if (std::strcmp(argv[1], "--acceptance") == 0) {
-    const dco3d::Measurement m = dco3d::measure(32, 480, 8, true);
-    std::printf("acceptance iteration (32x32 grid, 480 cells, base_channels=8):\n");
-    std::printf("  now:          peak_bytes=%llu heap_allocs=%llu requests=%llu\n",
-                static_cast<unsigned long long>(m.peak_bytes),
-                static_cast<unsigned long long>(m.heap_allocs),
-                static_cast<unsigned long long>(m.requests));
-    std::printf("  retain_graph: peak_bytes=%llu (reclamation alone: %.1f%% lower)\n",
-                static_cast<unsigned long long>(m.retain_peak_bytes),
-                100.0 * (1.0 - static_cast<double>(m.peak_bytes) /
-                                   static_cast<double>(m.retain_peak_bytes)));
-    std::printf("  pre-refactor: peak_bytes=%llu allocs=%llu (eager copies + retained tape)\n",
-                static_cast<unsigned long long>(m.pre_peak_bytes),
-                static_cast<unsigned long long>(m.pre_requests));
-    std::printf("  peak bytes: %.1f%% lower than pre-refactor\n",
-                100.0 * (1.0 - static_cast<double>(m.peak_bytes) /
-                                   static_cast<double>(m.pre_peak_bytes)));
-    std::printf("  heap allocs: %.1f%% fewer than pre-refactor (%llu vs %llu)\n",
-                100.0 * (1.0 - static_cast<double>(m.heap_allocs) /
-                                   static_cast<double>(m.pre_requests)),
-                static_cast<unsigned long long>(m.heap_allocs),
-                static_cast<unsigned long long>(m.pre_requests));
-    return 0;
   }
 
   const std::string path = argv[1];
   const bool record = argc > 2 && std::strcmp(argv[2], "--record") == 0;
 
-  const dco3d::Measurement m = dco3d::measure(8, 160, 4, false);
+  const dco3d::Measurement m = dco3d::measure();
   std::printf("measured: peak_bytes=%llu heap_allocs=%llu requests=%llu\n",
               static_cast<unsigned long long>(m.peak_bytes),
               static_cast<unsigned long long>(m.heap_allocs),

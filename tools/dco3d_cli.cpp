@@ -71,15 +71,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
+#include "flow/artifact.hpp"
 #include "flow/batch.hpp"
 #include "flow/cache.hpp"
 #include "flow/pin3d.hpp"
@@ -205,21 +208,6 @@ std::uint64_t cache_budget_bytes(const Args& a) {
                                     1024.0);
 }
 
-DesignKind parse_kind(const std::string& k) {
-  if (k == "dma") return DesignKind::kDma;
-  if (k == "aes") return DesignKind::kAes;
-  if (k == "ecg") return DesignKind::kEcg;
-  if (k == "ldpc") return DesignKind::kLdpc;
-  if (k == "vga") return DesignKind::kVga;
-  if (k == "rocket") return DesignKind::kRocket;
-  if (k == "memlogic") return DesignKind::kMemLogic;
-  if (k == "macroheavy") return DesignKind::kMacroHeavy;
-  throw StatusError(Status::invalid_argument(
-      "unknown design kind '" + k +
-      "' (valid kinds: dma, aes, ecg, ldpc, vga, rocket, memlogic, "
-      "macroheavy)"));
-}
-
 /// --tiers N: number of stacked dies. Anything that is not a plain integer
 /// >= 2 is rejected with kInvalidArgument (exit code 2, docs/cli.md).
 int parse_tiers(const Args& a) {
@@ -254,6 +242,19 @@ void run_stages(FlowContext& ctx, const std::vector<std::string>& names,
   Pipeline(std::move(stages)).run(ctx, opts);
 }
 
+/// Optimizer tag of a DCO hook: "dco:" + the FNV-1a hash of the
+/// checkpoint's bytes, so the dco stage's cache key follows the model's
+/// content — a checkpoint retrained in place never replays stale placements.
+std::string checkpoint_tag(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "dco:%016llx",
+                static_cast<unsigned long long>(fnv1a64(bytes.str())));
+  return buf;
+}
+
 /// DCO hook for the dco stage: runs Algorithm 2 on the global placement.
 /// `out` (optional) receives the full DcoResult for reporting. The predictor
 /// is captured by reference — keep it alive for the hook's lifetime.
@@ -273,7 +274,10 @@ PlacementOptimizer make_dco_optimizer(const Predictor& pred,
 
 int cmd_generate(const Args& a) {
   if (a.positional.empty()) return usage();
-  DesignSpec spec = spec_for(parse_kind(a.positional[0]), a.num("--scale", 0.04));
+  Status kind_err;
+  DesignSpec spec = spec_for(parse_serve_kind(a.positional[0], kind_err),
+                             a.num("--scale", 0.04));
+  if (!kind_err.ok()) throw StatusError(kind_err);
   const Netlist design = generate_design(spec);
   const std::string out = a.get("-o", spec.name + ".design");
   write_design_file(out, design);
@@ -523,7 +527,7 @@ int cmd_flow(const Args& a) {
 
   FlowContext ctx = make_flow_context(design, cfg, opt);
   ctx.design_name = a.positional[0];
-  ctx.optimizer_tag = a.flag("--dco") ? "dco:" + a.get("--dco", "") : "none";
+  if (a.flag("--dco")) ctx.optimizer_tag = checkpoint_tag(a.get("--dco", ""));
 
   PipelineOptions popts;
   popts.resume_from = a.get("--resume-from", "");
@@ -568,7 +572,11 @@ int cmd_batch(const Args& a) {
   if (a.positional.empty()) {
     kinds.assign(std::begin(kAllDesigns), std::end(kAllDesigns));
   } else {
-    for (const std::string& k : a.positional) kinds.push_back(parse_kind(k));
+    for (const std::string& k : a.positional) {
+      Status kind_err;
+      kinds.push_back(parse_serve_kind(k, kind_err));
+      if (!kind_err.ok()) throw StatusError(kind_err);
+    }
   }
 
   FlowConfig base;
@@ -615,22 +623,19 @@ int cmd_batch(const Args& a) {
 /// Multi-fidelity knob search (docs/search.md): q-EI batched proposals over
 /// the Table-I parameter space, screened at cheap fidelity (flow through
 /// after-place-metrics) with the top fraction promoted to full signoff
-/// flows. Mirrors the serve-mode search job's design construction exactly so
-/// CLI and serve searches of the same parameters share cache keys.
+/// flows. The design is set up by build_serve_job, like a served search
+/// job, so CLI and serve searches of the same parameters share cache keys.
 int cmd_search(const Args& a) {
   if (a.positional.empty()) return usage();
-  DesignSpec spec = spec_for(parse_kind(a.positional[0]), a.num("--scale", 0.02));
-  spec.seed = static_cast<std::uint64_t>(a.num("--seed", 1));
-  if (spec.seed == 0) spec.seed = 1;
-  spec.clock_period_ps = a.num("--clock", 250.0);
-  const Netlist design = generate_design(spec);
-
-  FlowConfig base;
-  base.grid_nx = base.grid_ny = static_cast<int>(a.num("--grid", 16));
-  base.num_tiers = parse_tiers(a);
-  base.seed = spec.seed;
-  base.router =
-      calibrated_router(design, base, a.num("--pctile", kCalibrationPctile));
+  ServeJobSpec job;
+  job.kind = a.positional[0];
+  job.scale = a.num("--scale", job.scale);
+  job.grid = static_cast<int>(a.num("--grid", job.grid));
+  job.tiers = parse_tiers(a);
+  job.clock_ps = a.num("--clock", job.clock_ps);
+  job.seed = static_cast<std::uint64_t>(a.num("--seed", 1));
+  ServeJobSetup setup =
+      build_serve_job(job, a.num("--pctile", kCalibrationPctile));
 
   FlowEvaluatorConfig ec;
   std::unique_ptr<ArtifactCache> cache;
@@ -641,7 +646,7 @@ int cmd_search(const Args& a) {
   }
   const Deadline deadline(a.num("--deadline", 0.0) * 1000.0);
   if (!deadline.unlimited()) ec.deadline = &deadline;
-  FlowEvaluator evaluator(spec.name, design, base, ec);
+  FlowEvaluator evaluator(setup.name, std::move(setup.design), setup.cfg, ec);
 
   SearchConfig sc;
   sc.rounds = static_cast<int>(a.num("--rounds", 4));
@@ -670,7 +675,7 @@ int cmd_search(const Args& a) {
 
   std::printf("search %s: %d rounds x batch %d (init %d, pool %d, promote "
               "%.2f, cheap screening %s) on %d threads\n",
-              spec.name.c_str(), sc.rounds, sc.batch, sc.init_samples,
+              setup.name.c_str(), sc.rounds, sc.batch, sc.init_samples,
               sc.candidates, sc.promote_fraction,
               sc.cheap_screen ? "on" : "off", util::num_threads());
 
@@ -678,7 +683,7 @@ int cmd_search(const Args& a) {
   const SearchResult res = multi_fidelity_search(evaluator, sc, rng);
 
   if (a.flag("--trace"))
-    append_search_trace_file(a.get("--trace", ""), spec.name, res.trace);
+    append_search_trace_file(a.get("--trace", ""), setup.name, res.trace);
 
   if (res.deadline_hit)
     std::printf("search: deadline hit — committed best-so-far\n");
