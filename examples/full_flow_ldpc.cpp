@@ -11,6 +11,7 @@
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
 #include "flow/pin3d.hpp"
+#include "flow/stage.hpp"
 #include "netlist/generators.hpp"
 
 using namespace dco3d;
@@ -52,16 +53,12 @@ int main(int argc, char** argv) {
   DcoConfig dco_cfg;
   dco_cfg.grid_nx = dcfg.net_w;
   dco_cfg.grid_ny = dcfg.net_h;
-  const TimingConfig timing_cfg = fcfg.timing;
-  std::size_t dco_iters = 0;
-  const FlowResult ours = run_pin3d_flow(
-      design, fcfg, [&](const Netlist& nl, Placement3D& pl) {
-        DcoResult r = run_dco(nl, pl, predictor, timing_cfg, dco_cfg);
-        pl = r.placement;
-        dco_iters = r.trace.size();
-        std::printf("  DCO: %zu iters, best @%d (loss %.4f), %zu cells moved tier\n",
-                    r.trace.size(), r.best_iter, r.best_loss, r.cells_moved_tier);
-      });
+  FlowContext ctx = make_flow_context(design, fcfg);
+  DcoResult r;
+  attach_dco(ctx, predictor, dco_cfg, &r);
+  const FlowResult ours = pin3d_pipeline().run(ctx);
+  std::printf("  DCO: %zu iters, best @%d (loss %.4f), %zu cells moved tier\n",
+              r.trace.size(), r.best_iter, r.best_loss, r.cells_moved_tier);
 
   std::printf("\n%-16s %9s %8s %8s %8s %10s %12s %9s %12s\n", "flow", "overflow",
               "ovf%", "H ovf", "V ovf", "wns(ps)", "tns(ps)", "power(mW)",

@@ -24,6 +24,8 @@
 
 namespace dco3d {
 
+// attach_dco's cache tag (flow/stage.cpp, dco_key) serializes every field:
+// a field added here must be added there too.
 struct DcoConfig {
   int max_iter = 80;
   float lr = 1.2e-2f;

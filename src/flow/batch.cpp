@@ -81,9 +81,8 @@ std::vector<BatchEntry> run_many(const std::vector<BatchJob>& jobs,
     PipelineJob pj;
     pj.name = job.name;
     pj.make_context = [&job]() {
-      FlowContext ctx = make_flow_context(job.design, job.cfg, job.optimizer);
+      FlowContext ctx = make_flow_context(job.design, job.cfg);
       ctx.design_name = job.name;
-      ctx.optimizer_tag = job.optimizer_tag;
       return ctx;
     };
     pj.opts.stop_after = opts.stop_after;

@@ -22,8 +22,6 @@ struct BatchJob {
   std::string name;             // row label; also tags trace entries
   Netlist design;
   FlowConfig cfg;
-  PlacementOptimizer optimizer; // optional DCO hook
-  std::string optimizer_tag = "none";
 };
 
 struct BatchEntry {

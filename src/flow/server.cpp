@@ -298,7 +298,7 @@ void Server::run_job(Job& job) {
     ctx.design_name = setup.name;
     {
       std::lock_guard<std::mutex> lock(job.mu);
-      job.key = flow_cache_key(ctx);
+      job.key = flow_stage_keys(ctx, pin3d_pipeline()).back();
     }
 
     const double budget = job.spec.deadline_ms > 0.0

@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <iomanip>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
 
+#include "core/dco.hpp"
 #include "flow/artifact.hpp"
 #include "flow/cache.hpp"
 #include "io/design_io.hpp"
@@ -61,9 +63,8 @@ void publish_metrics(FlowContext& c, const StageMetrics& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-key serialization. One helper per configuration group; flow_cache_key
-// concatenates all of them (byte-identical to the pre-refactor single-stream
-// format), and the stage key domains reuse them so a knob can never be
+// Cache-key serialization. One helper per configuration group; the stage key
+// domains and the DCO hook's tag reuse them so a knob can never be
 // serialized two different ways.
 
 std::ostringstream key_stream() {
@@ -72,10 +73,10 @@ std::ostringstream key_stream() {
   return os;
 }
 
-std::string params_key(const FlowContext& c) {
+std::string params_key(const PlacementParams& p) {
   auto os = key_stream();
   os << "|params";
-  for (double v : c.cfg.place_params.encode()) os << ' ' << v;
+  for (double v : p.encode()) os << ' ' << v;
   return os.str();
 }
 
@@ -89,8 +90,7 @@ std::string timing_key(const FlowContext& c) {
   return os.str();
 }
 
-std::string router_key(const FlowContext& c) {
-  const RouterConfig& r = c.cfg.router;
+std::string router_key(const RouterConfig& r) {
   auto os = key_stream();
   os << "|router " << r.h_capacity << ' ' << r.v_capacity << ' '
      << r.macro_capacity_factor << ' ' << r.rrr_rounds << ' '
@@ -127,24 +127,79 @@ std::string opt_key(const FlowContext& c) {
   return "|opt " + c.optimizer_tag;
 }
 
-/// Fallback domain for stages without a declared one: the full configuration
-/// surface. Correct for any stage body; forfeits prefix sharing.
-std::string full_config_key(const FlowContext& c) {
-  return params_key(c) + timing_key(c) + router_key(c) + cts_key(c) +
-         signoff_key(c) + grid_key(c) + opt_key(c);
+std::string params_key(const FlowContext& c) {
+  return params_key(c.cfg.place_params);
+}
+
+std::string router_key(const FlowContext& c) {
+  return router_key(c.cfg.router);
+}
+
+/// Every DcoConfig field, the nested spreader/guard/router/legalization
+/// configs included.
+std::string dco_key(const DcoConfig& d) {
+  const SpreaderConfig& sp = d.spreader;
+  const GuardConfig& g = d.guard;
+  auto os = key_stream();
+  os << "|dco " << d.max_iter << ' ' << d.lr << ' ' << d.alpha_disp << ' '
+     << d.beta_ovlp << ' ' << d.gamma_cut << ' ' << d.delta_cong << ' '
+     << sp.hidden << ' ' << sp.max_disp_frac << ' ' << sp.freeze_tier << ' '
+     << d.grid_nx << ' ' << d.grid_ny << ' ' << d.overlap_target_util << ' '
+     << d.overlap_bins << ' ' << d.epsilon_thermal << ' ' << d.convergence_eps
+     << ' ' << d.patience << ' ' << d.eval_every << ' ' << d.restarts << ' '
+     << d.select_by_route << ' ' << d.seed << ' ' << d.deadline_ms << ' '
+     << static_cast<int>(g.nan_policy) << ' ' << g.max_lr_halvings << ' '
+     << g.max_reseeds << ' ' << g.strict;
+  return os.str() + router_key(d.router) + params_key(d.legalize_params);
+}
+
+/// Content hash of a predictor: architecture, label and feature scales, then
+/// every parameter tensor's shape and raw bits (bit-exact through a
+/// checkpoint save/load round trip).
+std::uint64_t predictor_hash(const Predictor& pred) {
+  if (!pred.model)
+    throw StatusError(
+        Status::invalid_argument("attach_dco: predictor has no model"));
+  const nn::UNetConfig& u = pred.model->config();
+  auto os = key_stream();
+  os << "|predictor " << u.in_channels << ' ' << u.out_channels << ' '
+     << u.base_channels << ' ' << u.depth << ' ' << u.communication << ' '
+     << pred.label_scale << " |";
+  for (float v : pred.feature_scale.data()) os << ' ' << v;
+  std::uint64_t h = fnv1a64(os.str());
+  for (const nn::Var& p : pred.model->parameters()) {
+    const nn::Tensor& t = p->value;
+    const std::span<const float> w = t.data();
+    h = fnv1a64(nn::shape_str(t.shape()), h);
+    h = fnv1a64(std::string(reinterpret_cast<const char*>(w.data()),
+                            w.size_bytes()),
+                h);
+  }
+  return h;
+}
+
+std::string hex16(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
 std::vector<Stage> make_pin3d_stages() {
   std::vector<Stage> s;
 
   s.emplace_back("place3d", [](FlowContext& c) {
+    if (c.cfg.num_tiers < 2)
+      throw StatusError(Status::invalid_argument(
+          "num_tiers must be >= 2 (got " + std::to_string(c.cfg.num_tiers) +
+          ")"));
     // Un-legalized global placement: the DCO hook operates pre-legalization.
     c.placement = place_pseudo3d(c.netlist, c.cfg.place_params, c.cfg.seed,
                                  false, c.cfg.num_tiers);
     c.publish("cells", static_cast<double>(c.netlist.num_cells()));
     c.publish("nets", static_cast<double>(c.netlist.num_nets()));
     c.publish("tiers", static_cast<double>(c.placement.num_tiers));
-  }, params_key);
+  }, [](const FlowContext& c) { return params_key(c); });
 
   s.emplace_back("dco", [](FlowContext& c) {
     if (c.optimizer) c.optimizer(c.netlist, c.placement);
@@ -181,7 +236,7 @@ std::vector<Stage> make_pin3d_stages() {
 
   s.emplace_back("legalize", [](FlowContext& c) {
     legalize_all(c.netlist, c.placement, c.cfg.place_params);
-  }, params_key);
+  }, [](const FlowContext& c) { return params_key(c); });
 
   s.emplace_back("route", [](FlowContext& c) {
     ensure_grid(c);
@@ -480,28 +535,16 @@ FlowContext make_flow_context(const Netlist& design, const FlowConfig& cfg,
   return ctx;
 }
 
-std::string flow_cache_key(const FlowContext& ctx) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  write_design(os, ctx.netlist);
-  os << params_key(ctx) << timing_key(ctx) << router_key(ctx) << cts_key(ctx)
-     << signoff_key(ctx) << grid_key(ctx) << "|tiers " << ctx.cfg.num_tiers
-     << "|seed " << ctx.cfg.seed << opt_key(ctx);
-
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(os.str())));
-  return buf;
-}
-
 std::vector<std::string> flow_stage_keys(const FlowContext& ctx,
-                                         const Pipeline& pipeline) {
-  // Base: everything every stage implicitly depends on — the design itself,
-  // the placement seed and the stack height. Stage key domains then fold in
-  // the configuration surface each stage newly reads, forming a rolling
-  // hash chain: keys[i] = H(stage_i domain, keys[i-1]).
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
+                                         const Pipeline& pipeline,
+                                         int body_version) {
+  // Base: everything every stage implicitly depends on — the stage-body
+  // version, the design itself, the placement seed and the stack height.
+  // Stage key domains then fold in the configuration surface each stage
+  // newly reads, forming a rolling hash chain:
+  // keys[i] = H(stage_i domain, keys[i-1]).
+  auto os = key_stream();
+  os << "|version " << body_version << '|';
   write_design(os, ctx.netlist);
   os << "|tiers " << ctx.cfg.num_tiers << "|seed " << ctx.cfg.seed;
   std::uint64_t h = fnv1a64(os.str());
@@ -509,15 +552,24 @@ std::vector<std::string> flow_stage_keys(const FlowContext& ctx,
   std::vector<std::string> keys;
   keys.reserve(pipeline.stages().size());
   for (const Stage& s : pipeline.stages()) {
-    const std::string domain =
-        s.key_domain() ? s.key_domain()(ctx) : full_config_key(ctx);
-    h = fnv1a64(s.name() + domain, h);
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    keys.emplace_back(buf);
+    h = fnv1a64(s.name() + s.key_domain()(ctx), h);
+    keys.push_back(hex16(h));
   }
   return keys;
+}
+
+void attach_dco(FlowContext& ctx, const Predictor& pred, DcoConfig dco,
+                DcoResult* out) {
+  dco.router = ctx.cfg.router;
+  dco.legalize_params = ctx.cfg.place_params;
+  ctx.optimizer_tag =
+      "dco:" + hex16(fnv1a64(dco_key(dco), predictor_hash(pred)));
+  ctx.optimizer = [pred, dco, timing = ctx.cfg.timing, out](
+                      const Netlist& nl, Placement3D& pl) {
+    DcoResult r = run_dco(nl, pl, pred, timing, dco);
+    pl = r.placement;
+    if (out) *out = std::move(r);
+  };
 }
 
 RouterConfig calibrated_router(const Netlist& design, const Placement3D& ref,

@@ -29,6 +29,9 @@
 namespace dco3d {
 
 class ArtifactCache;
+struct DcoConfig;
+struct DcoResult;
+struct Predictor;
 
 /// Shared state threaded through a pipeline. Create with make_flow_context,
 /// or fill the fields directly for standalone stage runs (the CLI loads
@@ -39,9 +42,9 @@ struct FlowContext {
   PlacementOptimizer optimizer;  // DCO hook; empty = pass-through dco stage
   std::string design_name;       // labels trace entries and batch rows
   // Cache-key component describing the optimizer hook (a std::function can't
-  // be hashed). Callers that cache must set it to something that identifies
-  // the hook's behaviour, e.g. a hash of the checkpoint's bytes (the CLI's
-  // "dco:<fnv1a64>"); "none" = no hook.
+  // be hashed). attach_dco sets both; a caller wiring its own hook must set
+  // the tag to something that identifies the hook's behaviour, or not cache.
+  // "none" = no hook.
   std::string optimizer_tag = "none";
 
   // Working state.
@@ -65,19 +68,17 @@ struct FlowContext {
 /// A named flow step. Bodies must be deterministic functions of the context
 /// (the determinism/bit-identity contract of the whole engine rests on it).
 ///
-/// The optional key domain declares which slice of the configuration the
-/// stage body newly reads (serialized as a string). flow_stage_keys folds the
-/// domains into rolling per-stage cache keys, so two contexts that agree on
+/// The key domain declares which slice of the configuration the stage body
+/// newly reads (serialized as a string). flow_stage_keys folds the domains
+/// into rolling per-stage cache keys, so two contexts that agree on
 /// everything a prefix of stages reads share that prefix's artifacts even
 /// when downstream knobs differ (the fidelity-aware cache of docs/search.md).
-/// A stage without a declared domain is keyed on the full configuration —
-/// always correct, never prefix-shareable.
 class Stage {
  public:
   using KeyDomain = std::function<std::string(const FlowContext&)>;
 
   Stage(std::string name, std::function<void(FlowContext&)> body,
-        KeyDomain key_domain = nullptr)
+        KeyDomain key_domain)
       : name_(std::move(name)),
         body_(std::move(body)),
         key_domain_(std::move(key_domain)) {}
@@ -177,21 +178,35 @@ const Stage& pin3d_stage(const std::string& name);
 FlowContext make_flow_context(const Netlist& design, const FlowConfig& cfg,
                               PlacementOptimizer optimizer = nullptr);
 
-/// Content-addressed cache key: 64-bit FNV-1a over the serialized design,
-/// every FlowConfig field, and the optimizer tag; formatted as 16 hex chars.
-/// This is the whole-flow identity (serve job keys, status reporting); the
-/// artifact store itself is addressed by the per-stage keys below.
-std::string flow_cache_key(const FlowContext& ctx);
+/// Version of the stage bodies, folded into every artifact key. Bump it in
+/// any change that alters what a stage computes, so a cache directory written
+/// by an older build misses instead of replaying stale results as current.
+inline constexpr int kStageBodyVersion = 1;
 
 /// Per-stage rolling prefix keys, one per pipeline stage, each 16 hex chars.
-/// keys[i] hashes the serialized design, seed and tier count plus the key
-/// domains of stages 0..i — i.e. exactly the configuration surface the flow
-/// has consumed up to and including stage i. Two contexts share keys[i]
-/// (and therefore stage i's cached artifact) iff they agree on everything
-/// stages 0..i read, regardless of downstream knobs. Must be computed from
-/// the pristine pre-run context (stage bodies mutate the working netlist).
-std::vector<std::string> flow_stage_keys(const FlowContext& ctx,
-                                         const Pipeline& pipeline);
+/// keys[i] hashes the stage-body version, the serialized design, seed and
+/// tier count plus the key domains of stages 0..i — i.e. exactly the
+/// configuration surface the flow has consumed up to and including stage i.
+/// Two contexts share keys[i] (and therefore stage i's cached artifact) iff
+/// they agree on everything stages 0..i read, regardless of downstream
+/// knobs. The last key covers every config group and is the whole-flow
+/// identity (serve job keys). Must be computed from the pristine pre-run
+/// context (stage bodies mutate the working netlist). `body_version` exists
+/// for tests of the versioning; the pipeline always uses kStageBodyVersion.
+std::vector<std::string> flow_stage_keys(
+    const FlowContext& ctx, const Pipeline& pipeline,
+    int body_version = kStageBodyVersion);
+
+/// Algorithm 2 as the `dco` stage's hook. Sets ctx.optimizer to a hook that
+/// holds its own copy of `pred` and runs run_dco with the flow's settings
+/// (dco.router = ctx.cfg.router, dco.legalize_params = ctx.cfg.place_params,
+/// timing = ctx.cfg.timing, all read now: call it once ctx.cfg is final),
+/// and ctx.optimizer_tag to "dco:" + an FNV-1a hash of the predictor's
+/// content (architecture, parameters, label and feature scales) and of every
+/// DcoConfig field, so the dco stage's cache key follows both. `out`
+/// (optional, must outlive the run) receives the full DcoResult.
+void attach_dco(FlowContext& ctx, const Predictor& pred, DcoConfig dco,
+                DcoResult* out = nullptr);
 
 /// Usage percentile at which router calibration sets the track capacities.
 inline constexpr double kCalibrationPctile = 0.70;

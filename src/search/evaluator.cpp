@@ -56,9 +56,8 @@ std::vector<EvalResult> FlowEvaluator::evaluate_many(
     FlowConfig cfg = base_;
     cfg.place_params = p;
     job.make_context = [this, cfg]() {
-      FlowContext ctx = make_flow_context(design_, cfg, cfg_.optimizer);
+      FlowContext ctx = make_flow_context(design_, cfg);
       ctx.design_name = design_name_;
-      ctx.optimizer_tag = cfg_.optimizer_tag;
       return ctx;
     };
     if (fidelity == Fidelity::kCheap) job.opts.stop_after = cfg_.cheap_stop;

@@ -97,8 +97,6 @@ struct FlowEvaluatorConfig {
   ArtifactCache* cache = nullptr;
   const Deadline* deadline = nullptr;          // per-evaluation guard
   const std::atomic<bool>* cancel = nullptr;   // cooperative cancellation
-  PlacementOptimizer optimizer;                // optional DCO hook
-  std::string optimizer_tag = "none";
 };
 
 /// The real evaluator: pushes candidates through the Pin-3D stage pipeline

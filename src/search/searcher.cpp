@@ -26,6 +26,12 @@ double ms_since(Clock::time_point t0) {
 
 SearchResult multi_fidelity_search(Evaluator& evaluator,
                                    const SearchConfig& cfg, Rng& rng) {
+  if (cfg.rounds < 0 || cfg.init_samples < 1 || cfg.batch < 1 ||
+      cfg.candidates < 1 ||
+      !(cfg.promote_fraction > 0.0 && cfg.promote_fraction <= 1.0))
+    throw StatusError(Status::invalid_argument(
+        "search: need rounds >= 0, init >= 1, batch >= 1, candidates >= 1, "
+        "0 < promote <= 1"));
   SearchResult res;
   const bool cheap = cfg.cheap_screen && evaluator.supports_cheap();
 

@@ -132,6 +132,9 @@ struct SearchResult {
 /// Minimize the evaluator's objective. Deterministic given the rng state:
 /// bit-identical trajectories at any thread count, and with batch=1 /
 /// cheap_screen=false identical to the legacy bayes_optimize sequence.
+/// Throws StatusError kInvalidArgument, before any evaluation, unless
+/// rounds >= 0, init_samples >= 1, batch >= 1, candidates >= 1 and
+/// 0 < promote_fraction <= 1.
 SearchResult multi_fidelity_search(Evaluator& evaluator,
                                    const SearchConfig& cfg, Rng& rng);
 

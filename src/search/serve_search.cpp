@@ -37,12 +37,6 @@ ServeJobRunner make_search_job_runner() {
       sc.deadline = ctx.deadline;
       sc.cancel = ctx.cancel;
       sc.cache = ctx.cache;
-      if (sc.rounds < 0 || sc.init_samples < 1 || sc.batch < 1 ||
-          sc.candidates < 1 || sc.promote_fraction <= 0.0 ||
-          sc.promote_fraction > 1.0)
-        return Status::invalid_argument(
-            "search: need rounds >= 0, init >= 1, batch >= 1, candidates >= "
-            "1, 0 < promote <= 1");
       const std::string design_name = setup.name;
       if (ctx.emit) {
         sc.on_round = [&ctx, design_name](const SearchRoundRecord& r) {

@@ -85,10 +85,7 @@ TEST(Batch, SeedsAreStableAndDistinct) {
 
 TEST(Batch, FailingJobIsIsolated) {
   std::vector<BatchJob> jobs = tiny_jobs(3);
-  jobs[1].optimizer = [](const Netlist&, Placement3D&) {
-    throw StatusError(Status::invalid_argument("boom"));
-  };
-  jobs[1].optimizer_tag = "boom";
+  jobs[1].cfg.num_tiers = 1;  // invalid input: place3d refuses it
 
   util::set_num_threads(3);
   const std::vector<BatchEntry> entries = run_many(jobs);
@@ -120,15 +117,13 @@ TEST(Batch, StopAfterAndTraceApplyPerJob) {
 
 TEST(Batch, SummaryTableListsEveryJob) {
   std::vector<BatchJob> jobs = tiny_jobs(2);
-  jobs[1].optimizer = [](const Netlist&, Placement3D&) {
-    throw StatusError(Status::internal("exploded"));
-  };
+  jobs[1].cfg.num_tiers = 1;
   const std::vector<BatchEntry> entries = run_many(jobs);
   const std::string table = batch_summary_table(entries);
   EXPECT_NE(table.find("tiny0"), std::string::npos);
   EXPECT_NE(table.find("tiny1"), std::string::npos);
   EXPECT_NE(table.find("FAILED"), std::string::npos);
-  EXPECT_NE(table.find("exploded"), std::string::npos);
+  EXPECT_NE(table.find("num_tiers must be >= 2"), std::string::npos);
 }
 
 }  // namespace

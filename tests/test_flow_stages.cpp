@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <vector>
 
+#include "core/dco.hpp"
+#include "flow/artifact.hpp"
 #include "flow/pin3d.hpp"
 #include "flow/signoff.hpp"
 #include "flow/stage.hpp"
+#include "io/model_io.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer3d.hpp"
 #include "place/legalize.hpp"
@@ -407,25 +412,187 @@ TEST(StageTrace, ToJsonBytesArePinned) {
       R"("metrics":{}})");
 }
 
+/// The whole-flow identity: the last key of the stage chain.
+std::string chain_key(const FlowContext& ctx) {
+  return flow_stage_keys(ctx, pin3d_pipeline()).back();
+}
+
 TEST(Pipeline, CacheKeyReactsToConfigAndDesign) {
   const Netlist d1 = testing::tiny_design(140);
   const Netlist d2 = testing::tiny_design(140, /*seed=*/11);
   FlowConfig cfg = small_cfg();
   FlowContext base = make_flow_context(d1, cfg);
-  const std::string k1 = flow_cache_key(base);
+  const std::string k1 = chain_key(base);
   EXPECT_EQ(k1.size(), 16u);
-  EXPECT_EQ(k1, flow_cache_key(base)) << "key must be deterministic";
+  EXPECT_EQ(k1, chain_key(base)) << "key must be deterministic";
 
   FlowContext other_design = make_flow_context(d2, cfg);
-  EXPECT_NE(flow_cache_key(other_design), k1);
+  EXPECT_NE(chain_key(other_design), k1);
 
   cfg.seed = 8;
   FlowContext other_seed = make_flow_context(d1, cfg);
-  EXPECT_NE(flow_cache_key(other_seed), k1);
+  EXPECT_NE(chain_key(other_seed), k1);
 
   FlowContext other_opt = make_flow_context(d1, small_cfg());
   other_opt.optimizer_tag = "dco:model.ckpt";
-  EXPECT_NE(flow_cache_key(other_opt), k1);
+  EXPECT_NE(chain_key(other_opt), k1);
+}
+
+TEST(Pipeline, ArtifactSavedUnderOneBodyVersionMissesUnderAnother) {
+  const Netlist design = testing::tiny_design(140);
+  const FlowConfig cfg = small_cfg();
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "dco3d_version_cache")
+          .string();
+  std::filesystem::remove_all(cache);
+
+  PipelineOptions po;
+  po.cache_dir = cache;
+  po.stop_after = "dco";
+  FlowContext run = make_flow_context(design, cfg);
+  pin3d_pipeline().run(run, po);
+
+  const Pipeline& pipe = pin3d_pipeline();
+  const FlowContext fresh = make_flow_context(design, cfg);
+  const std::vector<std::string> saved = flow_stage_keys(fresh, pipe);
+  const std::vector<std::string> bumped =
+      flow_stage_keys(fresh, pipe, kStageBodyVersion + 1);
+  for (std::size_t i = 0; i < bumped.size(); ++i)
+    EXPECT_NE(bumped[i], saved[i]) << pipe.stages()[i].name();
+  for (std::size_t i = 0; i < 2; ++i) {  // place3d, dco: the saved stages
+    const std::string& name = pipe.stages()[i].name();
+    FlowContext probe = make_flow_context(design, cfg);
+    EXPECT_TRUE(load_flow_artifact(cache + "/" + saved[i] + "/" + name, probe))
+        << name;
+    EXPECT_FALSE(
+        load_flow_artifact(cache + "/" + bumped[i] + "/" + name, probe))
+        << name;
+  }
+  std::filesystem::remove_all(cache);
+}
+
+// ---------------------------------------------------------------------------
+// attach_dco: Algorithm 2 as the dco stage's hook.
+
+/// Untrained predictor with a fixed init: exercises the real DCO loss graph.
+Predictor fixed_predictor() {
+  Predictor pred;
+  Rng rng(99);
+  pred.model = std::make_shared<nn::SiameseUNet>(nn::UNetConfig{}, rng);
+  pred.feature_scale = nn::Tensor({kNumFeatureChannels}, 1.0f);
+  return pred;
+}
+
+DcoConfig small_dco() {
+  DcoConfig d;
+  d.max_iter = 4;
+  d.restarts = 0;
+  d.eval_every = 2;
+  d.grid_nx = d.grid_ny = 16;
+  d.overlap_bins = 8;
+  return d;
+}
+
+std::string dco_stage_key(const Netlist& design, const Predictor& pred,
+                          const DcoConfig& dco) {
+  FlowContext ctx = make_flow_context(design, small_cfg());
+  attach_dco(ctx, pred, dco);
+  const Pipeline& pipe = pin3d_pipeline();
+  return flow_stage_keys(ctx, pipe)[static_cast<std::size_t>(
+      pipe.index_of("dco"))];
+}
+
+TEST(DcoStage, KeyFollowsDcoConfigAndPredictorContent) {
+  const Netlist design = testing::tiny_design(140);
+  const Predictor pred = fixed_predictor();
+  const DcoConfig base = small_dco();
+  const std::string k = dco_stage_key(design, pred, base);
+  EXPECT_EQ(k, dco_stage_key(design, pred, base));
+
+  DcoConfig d = base;
+  d.deadline_ms = 1000.0;
+  EXPECT_NE(dco_stage_key(design, pred, d), k) << "deadline_ms";
+  d = base;
+  d.seed += 1;
+  EXPECT_NE(dco_stage_key(design, pred, d), k) << "seed";
+  d = base;
+  d.max_iter += 1;
+  EXPECT_NE(dco_stage_key(design, pred, d), k) << "max_iter";
+
+  // Content, not identity: an equal model built separately keys the same;
+  // one changed weight does not.
+  Predictor other = fixed_predictor();
+  EXPECT_EQ(dco_stage_key(design, other, base), k);
+  other.model->parameters().front()->value[0] += 1e-3f;
+  EXPECT_NE(dco_stage_key(design, other, base), k) << "weights";
+
+  std::stringstream ckpt;
+  save_predictor(ckpt, pred, pred.model->config());
+  const Predictor loaded = load_predictor(ckpt);
+  EXPECT_EQ(dco_stage_key(design, loaded, base), k) << "save/load round trip";
+}
+
+std::uint64_t placement_hash(const Placement3D& pl) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t i = 0; i < pl.size(); ++i) {
+    mix(&pl.xy[i].x, sizeof(double));
+    mix(&pl.xy[i].y, sizeof(double));
+    mix(&pl.tier[i], sizeof(int));
+  }
+  return h;
+}
+
+std::string hex_metrics(const StageMetrics& m) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%a %a %a %a %a %a %a %a", m.overflow,
+                m.ovf_gcell_pct, m.h_overflow, m.v_overflow, m.wns_ps,
+                m.tns_ps, m.power_mw, m.wirelength_um);
+  return buf;
+}
+
+TEST(DcoStage, AttachDcoMatchesHandWrittenHook) {
+  const Netlist design = testing::tiny_design(220);
+  FlowConfig cfg = small_cfg();
+  cfg.router = calibrated_router(design, cfg);
+  cfg.place_params.displacement_threshold = 0;  // read by trial legalization
+  const Predictor pred = fixed_predictor();
+  const DcoConfig dco = small_dco();
+
+  // Reference: a hand-written run_dco hook given the flow's own settings.
+  DcoConfig hand_cfg = dco;
+  hand_cfg.router = cfg.router;
+  hand_cfg.legalize_params = cfg.place_params;
+  const TimingConfig timing = cfg.timing;
+  DcoResult want_dco;
+  FlowContext hand = make_flow_context(
+      design, cfg, [&](const Netlist& nl, Placement3D& pl) {
+        want_dco = run_dco(nl, pl, pred, timing, hand_cfg);
+        pl = want_dco.placement;
+      });
+  const FlowResult want = pin3d_pipeline().run(hand);
+
+  FlowContext lib = make_flow_context(design, cfg);
+  DcoResult out;
+  attach_dco(lib, pred, dco, &out);
+  const FlowResult got = pin3d_pipeline().run(lib);
+
+  ASSERT_EQ(out.trace.size(), 4u) << "Algorithm 2 must have run";
+  // Trial-route scores: they see the router and legalization settings.
+  EXPECT_EQ(out.initial_score, want_dco.initial_score);
+  EXPECT_EQ(out.best_loss, want_dco.best_loss);
+  EXPECT_EQ(out.best_iter, want_dco.best_iter);
+  EXPECT_EQ(placement_hash(got.global_placement),
+            placement_hash(want.global_placement));
+  EXPECT_EQ(placement_hash(got.placement), placement_hash(want.placement));
+  EXPECT_EQ(hex_metrics(got.after_place), hex_metrics(want.after_place));
+  EXPECT_EQ(hex_metrics(got.signoff), hex_metrics(want.signoff));
 }
 
 }  // namespace

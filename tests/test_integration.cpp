@@ -7,6 +7,7 @@
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
 #include "flow/pin3d.hpp"
+#include "flow/stage.hpp"
 #include "test_helpers.hpp"
 #include "util/stats.hpp"
 
@@ -112,14 +113,10 @@ TEST_F(DcoPipeline, DcoReducesPredictedAndRoutedCongestion) {
   DcoConfig dcfg;
   dcfg.grid_nx = dcfg.grid_ny = 32;
   dcfg.max_iter = 30;
-  dcfg.router = cfg.router;
-  const TimingConfig tcfg = cfg.timing;
+  FlowContext ctx = make_flow_context(*design_, cfg);
   DcoResult dco_out;
-  const FlowResult ours = run_pin3d_flow(
-      *design_, cfg, [&](const Netlist& nl, Placement3D& pl) {
-        dco_out = run_dco(nl, pl, *predictor_, tcfg, dcfg);
-        pl = dco_out.placement;
-      });
+  attach_dco(ctx, *predictor_, dcfg, &dco_out);
+  const FlowResult ours = pin3d_pipeline().run(ctx);
 
   // Alg. 2 must have run and the trial-route gate must hold: the committed
   // result never scores worse than the input...
@@ -138,13 +135,10 @@ TEST_F(DcoPipeline, DcoKeepsPlacementLegalizable) {
   DcoConfig dcfg;
   dcfg.grid_nx = dcfg.grid_ny = 32;
   dcfg.max_iter = 10;
-  dcfg.router = cfg.router;
   dcfg.restarts = 1;
-  const TimingConfig tcfg = cfg.timing;
-  const FlowResult ours = run_pin3d_flow(
-      *design_, cfg, [&](const Netlist& nl, Placement3D& pl) {
-        pl = run_dco(nl, pl, *predictor_, tcfg, dcfg).placement;
-      });
+  FlowContext ctx = make_flow_context(*design_, cfg);
+  attach_dco(ctx, *predictor_, dcfg);
+  const FlowResult ours = pin3d_pipeline().run(ctx);
   // Flow completed: finite metrics, nonzero wirelength, power present.
   EXPECT_GT(ours.signoff.wirelength_um, 0.0);
   EXPECT_GT(ours.signoff.power_mw, 0.0);

@@ -274,6 +274,38 @@ TEST(Search, DcoStageKeyCoversRouterAndTiming) {
   }
 }
 
+TEST(Search, OutOfRangeConfigIsRefusedBeforeAnyEvaluation) {
+  int evals = 0;
+  FunctionEvaluator eval([&evals](const PlacementParams& p) {
+    ++evals;
+    return bowl(p);
+  });
+  SearchConfig ok;
+  ok.init_samples = 2;
+  ok.rounds = 0;
+  std::vector<SearchConfig> bad(6, ok);
+  bad[0].rounds = -1;
+  bad[1].init_samples = 0;
+  bad[2].batch = 0;
+  bad[3].candidates = 0;
+  bad[4].promote_fraction = 0.0;
+  bad[5].promote_fraction = 1.5;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "config " << i);
+    Rng rng(1);
+    try {
+      multi_fidelity_search(eval, bad[i], rng);
+      ADD_FAILURE() << "expected kInvalidArgument";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_EQ(evals, 0);
+  Rng rng(1);
+  multi_fidelity_search(eval, ok, rng);
+  EXPECT_EQ(evals, 2);
+}
+
 TEST(Search, PromotedCandidateReplaysCheapStagesFromCache) {
   const Netlist design = testing::tiny_design(150);
   FlowConfig base;

@@ -426,7 +426,9 @@ TEST_F(ServeTest, FlowJobKeyMatchesBuildServeJob) {
   spec.seed = 3;
   const ServeJobSetup setup = build_serve_job(spec);
   EXPECT_EQ(util::json_str(st, "key", ""),
-            flow_cache_key(make_flow_context(setup.design, setup.cfg)));
+            flow_stage_keys(make_flow_context(setup.design, setup.cfg),
+                            pin3d_pipeline())
+                .back());
   server.request_drain();
   server.wait();
 }

@@ -71,18 +71,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
-#include "flow/artifact.hpp"
 #include "flow/batch.hpp"
 #include "flow/cache.hpp"
 #include "flow/pin3d.hpp"
@@ -240,33 +237,6 @@ void run_stages(FlowContext& ctx, const std::vector<std::string>& names,
   stages.reserve(names.size());
   for (const std::string& n : names) stages.push_back(pin3d_stage(n));
   Pipeline(std::move(stages)).run(ctx, opts);
-}
-
-/// Optimizer tag of a DCO hook: "dco:" + the FNV-1a hash of the
-/// checkpoint's bytes, so the dco stage's cache key follows the model's
-/// content — a checkpoint retrained in place never replays stale placements.
-std::string checkpoint_tag(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << is.rdbuf();
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "dco:%016llx",
-                static_cast<unsigned long long>(fnv1a64(bytes.str())));
-  return buf;
-}
-
-/// DCO hook for the dco stage: runs Algorithm 2 on the global placement.
-/// `out` (optional) receives the full DcoResult for reporting. The predictor
-/// is captured by reference — keep it alive for the hook's lifetime.
-PlacementOptimizer make_dco_optimizer(const Predictor& pred,
-                                      const DcoConfig& dcfg,
-                                      const TimingConfig& tcfg,
-                                      DcoResult* out = nullptr) {
-  return [&pred, dcfg, tcfg, out](const Netlist& nl, Placement3D& pl) {
-    DcoResult r = run_dco(nl, pl, pred, tcfg, dcfg);
-    pl = r.placement;
-    if (out) *out = std::move(r);
-  };
 }
 
 // ---------------------------------------------------------------------------
@@ -475,21 +445,18 @@ int cmd_optimize(const Args& a) {
   const Predictor pred = load_predictor_file(a.positional[2]);
 
   const int grid_n = static_cast<int>(a.num("--grid", 48));
-  DcoConfig dcfg;
-  dcfg.grid_nx = dcfg.grid_ny = grid_n;
-  dcfg.router = calibrated_router(design, pl, grid_n,
-                                  a.num("--pctile", kCalibrationPctile));
-  apply_guard_options(a, dcfg.deadline_ms, dcfg.guard);
-  TimingConfig tcfg;
-  tcfg.clock_period_ps = a.num("--clock", 300.0);
-
   FlowConfig cfg;
   cfg.grid_nx = cfg.grid_ny = grid_n;
-  cfg.router = dcfg.router;
-  cfg.timing = tcfg;
+  cfg.router = calibrated_router(design, pl, grid_n,
+                                 a.num("--pctile", kCalibrationPctile));
+  cfg.timing.clock_period_ps = a.num("--clock", 300.0);
+  DcoConfig dcfg;
+  dcfg.grid_nx = dcfg.grid_ny = grid_n;
+  apply_guard_options(a, dcfg.deadline_ms, dcfg.guard);
+
+  FlowContext ctx = make_flow_context(design, cfg);
   DcoResult r;
-  FlowContext ctx = make_flow_context(
-      design, cfg, make_dco_optimizer(pred, dcfg, tcfg, &r));
+  attach_dco(ctx, pred, dcfg, &r);
   ctx.placement = pl;
   run_stages(ctx, {"dco"});
   print_guard_summary("DCO", r.guard);
@@ -514,20 +481,14 @@ int cmd_flow(const Args& a) {
   cfg.router =
       calibrated_router(design, cfg, a.num("--pctile", kCalibrationPctile));
 
-  PlacementOptimizer opt;
-  Predictor pred;
+  FlowContext ctx = make_flow_context(design, cfg);
+  ctx.design_name = a.positional[0];
   if (a.flag("--dco")) {
-    pred = load_predictor_file(a.get("--dco", ""));
     DcoConfig dcfg;
     dcfg.grid_nx = dcfg.grid_ny = cfg.grid_nx;
-    dcfg.router = cfg.router;
     apply_guard_options(a, dcfg.deadline_ms, dcfg.guard);
-    opt = make_dco_optimizer(pred, dcfg, cfg.timing);
+    attach_dco(ctx, load_predictor_file(a.get("--dco", "")), dcfg);
   }
-
-  FlowContext ctx = make_flow_context(design, cfg, opt);
-  ctx.design_name = a.positional[0];
-  if (a.flag("--dco")) ctx.optimizer_tag = checkpoint_tag(a.get("--dco", ""));
 
   PipelineOptions popts;
   popts.resume_from = a.get("--resume-from", "");
@@ -658,12 +619,6 @@ int cmd_search(const Args& a) {
   sc.cheap_screen = !a.flag("--no-cheap");
   sc.cache = ec.cache;
   if (!deadline.unlimited()) sc.deadline = &deadline;
-  if (sc.rounds < 0 || sc.init_samples < 1 || sc.batch < 1 ||
-      sc.candidates < 1 || sc.promote_fraction <= 0.0 ||
-      sc.promote_fraction > 1.0)
-    throw StatusError(Status::invalid_argument(
-        "search: need rounds >= 0, init >= 1, batch >= 1, candidates >= 1, "
-        "0 < promote <= 1"));
   sc.on_round = [](const SearchRoundRecord& r) {
     std::printf("round %2d: %d cheap + %d full evals, best %.4f "
                 "(round best %.4f), cache %llu hit / %llu miss, %.0f ms\n",
